@@ -74,6 +74,22 @@ impl MaxFlow {
         id
     }
 
+    /// Empties the network of flow and gives every edge a new capacity:
+    /// the `k`-th edge added gets `cap(k)`. One network then serves a
+    /// series of max-flow calls that differ only in capacities.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a capacity is negative.
+    pub(crate) fn refill(&mut self, mut cap: impl FnMut(usize) -> i64) {
+        for (k, pair) in self.cap.chunks_exact_mut(2).enumerate() {
+            let c = cap(k);
+            assert!(c >= 0, "negative capacity");
+            pair[0] = c;
+            pair[1] = 0;
+        }
+    }
+
     /// Flow currently on edge `id` (residual bookkeeping: flow equals the
     /// capacity of the reverse edge).
     pub fn flow_on(&self, id: usize) -> i64 {
@@ -117,8 +133,9 @@ impl MaxFlow {
         0
     }
 
-    /// Computes the maximum `s`-`t` flow. May be called once per network
-    /// (it mutates residual capacities).
+    /// Computes the maximum `s`-`t` flow. It mutates residual
+    /// capacities, so a second call only finds flow the first left
+    /// unused.
     ///
     /// # Panics
     ///

@@ -1,4 +1,5 @@
-//! Goldberg's max-flow reduction for the densest-subgraph problem.
+//! Goldberg's max-flow reduction for the densest-subgraph problem,
+//! solved by Dinkelbach iteration on one reused network.
 
 use dsa_graphs::Ratio;
 
@@ -22,13 +23,9 @@ pub struct Densest {
 /// and the spanner algorithm treats that vertex as having no candidate
 /// star).
 ///
-/// This is Goldberg's classic reduction: for a guess `g`, a network with
-/// source capacities `deg(v)`, internal capacities 1 in both directions
-/// per edge, and sink capacities `2g` has a minimum cut smaller than
-/// `2|E|` iff some subgraph has density exceeding `g`. Densities are
-/// multiples of `1/q` for `q ≤ n`, so a binary search over multiples of
-/// `1/(n(n-1))` isolates the optimum exactly; all capacities are scaled
-/// to integers so the search is precise.
+/// This is [`densest_weighted_subgraph`] with unit weights and
+/// multiplicities; see there for the algorithm and for which densest
+/// set is returned.
 ///
 /// # Panics
 ///
@@ -75,11 +72,51 @@ pub fn densest_subgraph(n: usize, edges: &[(usize, usize)]) -> Option<Densest> {
 ///
 /// Returns `None` when `edges` is empty.
 ///
+/// # Algorithm
+///
+/// Goldberg's network for a density `λ = p/q` has source capacities
+/// `deg(v)·q`, capacity `mult·q` in both directions per edge and sink
+/// capacities `2·p·w(v)`. A cut with source side `A` costs
+/// `2·m·q − 2·(q·|E(A)| − p·W(A))` (`m` the total multiplicity, `W(A)`
+/// the weight of `A`), so the minimum cut is below `2·m·q` exactly when
+/// some set is denser than `λ`, and the residual source side is then
+/// the inclusion-minimal maximizer of `|E(A)| − λ·W(A)`.
+///
+/// Dinkelbach's iteration (Dinkelbach 1967) climbs to the optimum `ρ*`.
+/// The cut at `λ = 0` carries no flow and yields the non-isolated
+/// vertices. Each later cut at `λ = p/q`, the density of the last set
+/// found, either yields a strictly denser set or proves `λ = ρ*`, and
+/// the last set found is the answer. The network is built once; the
+/// cuts only refill its capacities. A call takes a handful of cuts,
+/// against about 17 for a binary search over the density grid.
+///
+/// # Which densest set
+///
+/// `g(λ) = max_A (|E(A)| − λ·W(A))` is convex and piecewise linear. On
+/// its last piece, `[λ_b, ρ*)`, the top line belongs to the densest
+/// sets of maximum total weight; the only other sets on top are
+/// heavier ones meeting it at `λ_b`. Maximizers are closed under
+/// intersection, so at every `λ` of the piece the minimal maximizer is
+/// the intersection of the densest sets of maximum total weight. Below
+/// `λ_b` every maximizer outweighs every densest set, so none is
+/// densest. The last set found is densest and is the minimal maximizer
+/// at the previous `λ`, which therefore lies on the last piece: the
+/// answer is that intersection. It depends only on the weights and
+/// edges, not on the path of the iteration or on which max flow is
+/// found. A binary search over the density grid (multiples of `1/W²`)
+/// returns the same set, as its last successful probe falls on the
+/// same piece.
+///
+/// Every capacity and every flow is at most `2·m·W`, with `W` the total
+/// weight: the source capacities sum to `2·m·q ≤ 2·m·W`, which bounds
+/// every flow, and the sink capacities are `2·p·w(v) ≤ 2·m·W`. That is
+/// well within the `2·m·W²` the overflow guard admits.
+///
 /// # Panics
 ///
 /// Panics on out-of-range endpoints, self-loops, zero multiplicities,
 /// or magnitudes large enough to overflow the scaled capacities
-/// (`total_weight² · total_multiplicity` must fit in `i64`).
+/// (`2 · total_weight² · total_multiplicity` must fit in `i64`).
 pub fn densest_weighted_subgraph(
     vertex_weights: &[u64],
     edges: &[(usize, usize, u64)],
@@ -101,76 +138,72 @@ pub fn densest_weighted_subgraph(
         deg[v] += mult as i64;
     }
 
-    // Distinct densities p/q have q ≤ total weight, so they are
-    // separated by at least 1/W² with W the total weight; search over
-    // multiples of 1/d with d = W².
     let total_weight: i64 = vertex_weights.iter().map(|&w| w as i64).sum();
     let d = (total_weight * total_weight).max(2);
     assert!(
         m.checked_mul(d).and_then(|x| x.checked_mul(2)).is_some(),
         "instance too large for exact densest-subgraph arithmetic"
     );
-    // Evaluate "exists subgraph with density > t/d" and return the
-    // source-side witness if so.
-    let test = |t: i64| -> Option<Vec<usize>> {
-        // Capacities scaled by d: s->v: deg(v)*d, internal: mult*d,
-        // v->sink: 2*t*weight(v).
-        let s = n;
-        let sink = n + 1;
-        let mut net = MaxFlow::new(n + 2);
-        for v in 0..n {
-            if deg[v] > 0 {
-                net.add_edge(s, v, deg[v] * d);
-            }
-            if vertex_weights[v] > 0 {
-                net.add_edge(v, sink, 2 * t * vertex_weights[v] as i64);
-            }
-        }
-        for &(u, v, mult) in edges {
-            net.add_edge(u, v, mult as i64 * d);
-            net.add_edge(v, u, mult as i64 * d);
-        }
-        let flow = net.max_flow(s, sink);
-        if flow < 2 * m * d {
-            let side = net.min_cut_source_side(s);
-            let a: Vec<usize> = (0..n).filter(|&v| side[v]).collect();
-            debug_assert!(!a.is_empty());
-            Some(a)
-        } else {
-            None
-        }
-    };
 
-    // Binary search for the largest t with a witness denser than t/d.
-    // t = 0 always has a witness: some edge exists and its endpoint
-    // pair has positive multiplicity inside, hence positive density.
-    let mut lo = 0i64; // test(lo) succeeds
-    let mut hi = m * d + 1; // density can't exceed m, so test(hi) fails
-    let mut witness = test(0)?;
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        match test(mid) {
-            Some(a) => {
-                witness = a;
-                lo = mid;
-            }
-            None => hi = mid,
+    // One network for every cut. Each edge's capacity at λ = p/q is
+    // `coef.0·q + coef.1·p`.
+    let (s, sink) = (n, n + 1);
+    let mut net = MaxFlow::new(n + 2);
+    let mut coef: Vec<(i64, i64)> = Vec::with_capacity(2 * n + 2 * edges.len());
+    for v in 0..n {
+        if deg[v] > 0 {
+            net.add_edge(s, v, 0);
+            coef.push((deg[v], 0));
+        }
+        if vertex_weights[v] > 0 {
+            net.add_edge(v, sink, 0);
+            coef.push((0, 2 * vertex_weights[v] as i64));
         }
     }
-    let density = weighted_subgraph_density(&witness, vertex_weights, edges)?;
-    Some(Densest {
-        vertices: witness,
-        density,
-    })
+    for &(u, v, mult) in edges {
+        net.add_edge(u, v, 0);
+        net.add_edge(v, u, 0);
+        coef.push((mult as i64, 0));
+        coef.push((mult as i64, 0));
+    }
+    // The minimal source side of the cut at λ = p/q, if some set is
+    // strictly denser than λ.
+    let mut cut = |p: i64, q: i64| -> Option<Vec<usize>> {
+        net.refill(|k| coef[k].0 * q + coef[k].1 * p);
+        if net.max_flow(s, sink) == 2 * m * q {
+            return None;
+        }
+        let side = net.min_cut_source_side(s);
+        Some((0..n).filter(|&v| side[v]).collect())
+    };
+
+    // Dinkelbach from λ = 0: some edge exists, so that cut succeeds.
+    let mut best = cut(0, 1)?;
+    loop {
+        let (p, q) = edge_count_and_weight(&best, vertex_weights, edges);
+        if q == 0 {
+            // Only zero-weight sets beat the last density (an edge
+            // between two zero-weight vertices): no valid witness.
+            return None;
+        }
+        match cut(p as i64, q as i64) {
+            Some(denser) => best = denser,
+            None => {
+                return Some(Densest {
+                    vertices: best,
+                    density: Ratio::new(p, q),
+                })
+            }
+        }
+    }
 }
 
-/// Exact density of a vertex set, or `None` when its total weight is
-/// zero (which the caller invariants rule out for witnesses).
-fn weighted_subgraph_density(
+/// `(Σ mult inside a, Σ weight of a)` for a vertex set `a`.
+fn edge_count_and_weight(
     a: &[usize],
     vertex_weights: &[u64],
     edges: &[(usize, usize, u64)],
-) -> Option<Ratio> {
+) -> (u64, u64) {
     let mut inside = vec![false; vertex_weights.len()];
     for &x in a {
         inside[x] = true;
@@ -181,6 +214,17 @@ fn weighted_subgraph_density(
         .map(|&(_, _, mult)| mult)
         .sum();
     let weight: u64 = a.iter().map(|&v| vertex_weights[v]).sum();
+    (count, weight)
+}
+
+/// Exact density of a vertex set, or `None` when its total weight is
+/// zero (which the caller invariants rule out for witnesses).
+fn weighted_subgraph_density(
+    a: &[usize],
+    vertex_weights: &[u64],
+    edges: &[(usize, usize, u64)],
+) -> Option<Ratio> {
+    let (count, weight) = edge_count_and_weight(a, vertex_weights, edges);
     if weight == 0 {
         return None;
     }
@@ -360,6 +404,20 @@ mod weighted_tests {
         let best2 = densest_weighted_subgraph(&weights, &edges[..1]).unwrap();
         assert_eq!(best2.vertices, vec![0, 1]);
         assert_eq!(best2.density, Ratio::new(2, 2));
+    }
+
+    #[test]
+    fn heavy_vertex_keeps_capacities_within_the_guard() {
+        // A weight-2^30 vertex with no pair next to a unit-weight edge:
+        // 2·m·W² fits in i64, and every capacity the cuts use must
+        // stay within that bound.
+        let weights = vec![1, 1, 1 << 30];
+        let edges = vec![(0, 1, 1)];
+        let best = densest_weighted_subgraph(&weights, &edges).unwrap();
+        assert_eq!(best.vertices, vec![0, 1]);
+        assert_eq!(best.density, Ratio::new(1, 2));
+        let slow = densest_weighted_subgraph_brute_force(&weights, &edges).unwrap();
+        assert_eq!(best, slow);
     }
 
     #[test]

@@ -10,6 +10,17 @@
 //! equivalent and better-known Goldberg reduction on top of
 //! [Dinic's max-flow algorithm](MaxFlow).
 //!
+//! [`densest_weighted_subgraph`] finds the optimum by Dinkelbach's
+//! fractional-programming iteration: each min cut, taken at the density
+//! of the last set found, either returns a strictly denser set or
+//! proves it optimal, so a call takes a handful of cuts on one network
+//! whose capacities are refilled between cuts. Every capacity stays
+//! within `2·m·W` (`m` the total multiplicity, `W` the total vertex
+//! weight). The returned set is canonical — the intersection of all
+//! densest sets of maximum total weight — so it is a pure function of
+//! the local graph, and the stars, and spanner bytes, chosen from it
+//! are too.
+//!
 //! # Example
 //!
 //! ```

@@ -769,11 +769,6 @@ impl Service {
         self.shared.cache.lock().len()
     }
 
-    /// Jobs waiting in the pool queue (diagnostic only).
-    pub fn queued_jobs(&self) -> usize {
-        self.pool.queued()
-    }
-
     /// The service's fault injector (never fires unless
     /// [`ServiceConfig::fault`] was set); the TCP/HTTP frontends
     /// consult it for connection-level fault points.
@@ -1021,6 +1016,41 @@ mod tests {
     }
 
     #[test]
+    fn heavy_weighted_edge_is_served_and_worker_survives() {
+        // One edge of weight 2^30 beside unit-weight edges. The flow
+        // oracle's capacities must stay within its overflow guard: a
+        // panic there would kill the only worker, and every later job
+        // would time out.
+        use dsa_core::verify::is_k_spanner;
+        use dsa_graphs::{EdgeSet, EdgeWeights, Graph};
+        let service = Service::new(&ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        // A dead worker never answers; the generous deadline turns that
+        // into a failure instead of a hang. Healthy runs take microseconds.
+        let deadline = Some(Duration::from_secs(60));
+        let graph = Graph::from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)]);
+        let mut heavy = JobSpec::new(
+            VariantInstance::Weighted {
+                graph: graph.clone(),
+                weights: EdgeWeights::from_vec(vec![1, 1, 1, 1 << 30]),
+            },
+            1,
+        );
+        heavy.timeout = deadline;
+        let resp = service.run(&heavy).unwrap();
+        assert!(resp.converged);
+        let h = EdgeSet::from_iter(graph.num_edges(), resp.spanner.iter().copied());
+        assert!(is_k_spanner(&graph, &h, 2));
+        // The worker is still alive: the next, unrelated job is served.
+        let mut next = undirected_spec(10, 0.5, 9, 1);
+        next.timeout = deadline;
+        assert!(service.run(&next).unwrap().converged);
+        assert_eq!(service.metrics().jobs_completed, 2);
+    }
+
+    #[test]
     fn zero_timeout_times_out() {
         let service = Service::new(&ServiceConfig {
             workers: 1,
@@ -1058,26 +1088,34 @@ mod tests {
         assert_eq!(sharded.metrics().cache_hits, 1);
     }
 
-    #[test]
-    fn cancel_after_start_aborts_the_engine_mid_flight() {
+    /// Opens a one-worker service whose every run first sleeps in the
+    /// `engine.latency_ms` fault point, submits a job, and cancels it
+    /// once that fault has fired. The worker is then past the skip
+    /// check, so the run has started and the cancel must abort it —
+    /// before its first iteration, however fast the engine is. Returns
+    /// the service after a quiescence job: with one worker, that job
+    /// completes only after the aborted run returned.
+    fn cancel_a_started_run(cache_dir: Option<PathBuf>) -> Service {
+        let plan = dsa_runtime::FaultPlan::parse("seed=1;engine.latency_ms=300@1.0").unwrap();
+        let fault = Arc::new(FaultInjector::new(plan));
         let service = Service::new(&ServiceConfig {
             workers: 1,
+            cache_dir,
+            fault: Some(Arc::clone(&fault)),
             ..ServiceConfig::default()
         });
-        // Big enough that the engine is still iterating long after the
-        // cancel below lands (hundreds of ms even in release builds).
-        let slow = undirected_spec(260, 0.08, 8, 1);
-        let handle = service.submit(&slow).unwrap();
-        // The queue drains the moment the worker dequeues the job;
-        // give it a beat more so the engine loop is actually running.
-        while service.queued_jobs() > 0 {
+        let handle = service.submit(&undirected_spec(60, 0.15, 8, 1)).unwrap();
+        while fault.fired() == 0 {
             std::thread::yield_now();
         }
-        std::thread::sleep(Duration::from_millis(60));
         handle.cancel();
-        // Quiescence: with one worker, this job completes only after
-        // the aborted run returned.
         service.run(&undirected_spec(10, 0.5, 9, 1)).unwrap();
+        service
+    }
+
+    #[test]
+    fn cancel_after_start_aborts_the_engine_mid_flight() {
+        let service = cancel_a_started_run(None);
         let m = service.metrics();
         assert_eq!(m.cancelled, 1);
         assert_eq!(m.aborted, 1, "started run must abort, not complete");
@@ -1185,20 +1223,7 @@ mod tests {
     #[test]
     fn aborted_runs_are_never_persisted() {
         let dir = store_dir("abort");
-        let service = Service::new(&ServiceConfig {
-            workers: 1,
-            cache_dir: Some(dir.clone()),
-            ..ServiceConfig::default()
-        });
-        let slow = undirected_spec(260, 0.08, 8, 1);
-        let handle = service.submit(&slow).unwrap();
-        while service.queued_jobs() > 0 {
-            std::thread::yield_now();
-        }
-        std::thread::sleep(Duration::from_millis(60));
-        handle.cancel();
-        // Quiescence job: with one worker it runs after the abort.
-        service.run(&undirected_spec(10, 0.5, 9, 1)).unwrap();
+        let service = cancel_a_started_run(Some(dir.clone()));
         let m = service.metrics();
         assert_eq!(m.aborted, 1);
         assert_eq!(m.store_records, 1, "only the completed run is on disk");

@@ -11,8 +11,8 @@
 //!    asserted inside real engine runs by a checking wrapper variant.
 //!
 //! Plus the in-engine cooperative cancellation: a raised flag stops a
-//! run between iterations, both when pre-set and when flipped
-//! mid-flight from another thread.
+//! run between iterations, both when pre-set and when raised while an
+//! iteration is running.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -272,28 +272,96 @@ fn preraised_cancel_flag_stops_before_the_first_iteration() {
     assert!(run.spanner.is_empty());
 }
 
+/// Delegates everything to `inner`, and raises `flag` inside the
+/// `k`-th `covered_delta` call. The engine makes exactly one such call
+/// per iteration, after the iteration's edges are added, so the flag
+/// goes up while iteration `k` runs — however fast the engine is.
+struct CancelInIteration<V: SpannerVariant> {
+    inner: V,
+    k: usize,
+    deltas: AtomicUsize,
+    flag: Arc<AtomicBool>,
+}
+
+impl<V: SpannerVariant> SpannerVariant for CancelInIteration<V> {
+    fn num_vertices(&self) -> usize {
+        self.inner.num_vertices()
+    }
+
+    fn num_items(&self) -> usize {
+        self.inner.num_items()
+    }
+
+    fn targets(&self) -> EdgeSet {
+        self.inner.targets()
+    }
+
+    fn preselected(&self) -> EdgeSet {
+        self.inner.preselected()
+    }
+
+    fn covered(&self, h: &EdgeSet) -> EdgeSet {
+        self.inner.covered(h)
+    }
+
+    fn covered_delta(&self, h: &EdgeSet, new_edges: &[EdgeId], out: &mut EdgeSet) {
+        self.inner.covered_delta(h, new_edges, out);
+        if self.deltas.fetch_add(1, Ordering::Relaxed) + 1 == self.k {
+            self.flag.store(true, Ordering::Relaxed);
+        }
+    }
+
+    fn local_stars(&self, v: VertexId, uncovered: &EdgeSet) -> LocalStars {
+        self.inner.local_stars(v, uncovered)
+    }
+
+    fn force_cover(&self, item: usize) -> Vec<EdgeId> {
+        self.inner.force_cover(item)
+    }
+
+    fn comm_neighbors(&self, v: VertexId) -> &[VertexId] {
+        self.inner.comm_neighbors(v)
+    }
+
+    fn threshold(&self) -> Ratio {
+        self.inner.threshold()
+    }
+
+    fn strict_termination(&self) -> bool {
+        self.inner.strict_termination()
+    }
+
+    fn choice_exponent_offset(&self) -> i32 {
+        self.inner.choice_exponent_offset()
+    }
+}
+
 #[test]
 fn cancel_flag_raised_mid_run_stops_between_iterations() {
     let mut rng = StdRng::seed_from_u64(6);
-    // Big enough that the run is still iterating when the flag flips
-    // (the same sizing the service's abort test relies on).
     let g = gen::gnp_connected(260, 0.08, &mut rng);
-    let instance = VariantInstance::Undirected { graph: g };
-    let full = run_variant(&instance, &EngineConfig::seeded(3));
+    let full = run_engine(&UndirectedTwoSpanner::new(&g), &EngineConfig::seeded(3));
     assert!(full.converged && !full.cancelled);
+    // Cancel inside the last iteration that does not converge.
+    assert!(full.iterations >= 2, "the run must outlast one iteration");
+    let k = full.iterations as usize - 1;
 
     let flag = Arc::new(AtomicBool::new(false));
     let mut cfg = EngineConfig::seeded(3);
     cfg.cancel = Some(Arc::clone(&flag));
-    let run = std::thread::scope(|scope| {
-        let worker = scope.spawn(|| run_variant(&instance, &cfg));
-        std::thread::sleep(std::time::Duration::from_millis(40));
-        flag.store(true, Ordering::Relaxed);
-        worker.join().expect("engine thread")
-    });
+    let variant = CancelInIteration {
+        inner: UndirectedTwoSpanner::new(&g),
+        k,
+        deltas: AtomicUsize::new(0),
+        flag,
+    };
+    let run = run_engine(&variant, &cfg);
     assert!(run.cancelled, "flag raised mid-run must cancel");
     assert!(!run.converged);
-    assert!(run.iterations < full.iterations);
+    assert_eq!(
+        run.iterations, k as u64,
+        "the run stops right after iteration k"
+    );
     // The partial spanner is a prefix of the full run's work: every
     // completed iteration is identical to the uncancelled run's.
     assert_eq!(
