@@ -9,19 +9,24 @@
 //!   a directed edge is `(tail, head)`; self-loops are not edges at all
 //!   ([`undirected_key`] / [`directed_key`]);
 //! * the canonical edge order is the lexicographic order of those key
-//!   pairs, with duplicates collapsed;
-//! * the canonical hash ([`graph_hash`], [`digraph_hash`],
-//!   [`weighted_graph_hash`]) is FNV-1a over the vertex count and the
-//!   canonically ordered edges, so it is independent of insertion
-//!   order.
+//!   pairs, with duplicates collapsed ([`EdgeKeys`]);
+//! * the canonical hash ([`EdgeKeys::hash`], equal to [`graph_hash`],
+//!   [`digraph_hash`] and [`weighted_graph_hash`]) is FNV-1a over the
+//!   vertex count and the canonically ordered edges, so it is
+//!   independent of insertion order.
 //!
-//! [`canonicalize`] / [`canonicalize_digraph`] rebuild a graph with
-//! edge ids *in* canonical order and return the id translation in both
-//! directions, which is what lets a serving layer deduplicate
+//! [`KeyBuilder`] normalizes an edge list row by row straight into
+//! that form, plus the permutation back to the submitted edge ids
+//! ([`CanonicalEdges`]) that lets a serving layer deduplicate
 //! isomorphic-as-submitted requests and still answer each caller in
-//! its own edge-id space. [`crate::io`] parsing uses the same keys, so
-//! a parsed graph and its hash agree on self-loop/duplicate handling.
+//! its own edge-id space. Every decoder goes through it — the
+//! [`crate::io`] text parsers, the wire protocol and the JSON facade of
+//! `dsa-service` — so they can never drift on self-loop, duplicate or
+//! weight handling, and a cache hit needs no graph at all.
+//! [`canonicalize`] / [`canonicalize_digraph`] are the same ordering
+//! applied to an already-built graph.
 
+use crate::io::ParseGraphError;
 use crate::{DiGraph, EdgeId, EdgeWeights, Graph, VertexId};
 
 /// The 64-bit FNV-1a hasher used for canonical graph hashes.
@@ -87,6 +92,332 @@ pub fn directed_key(u: VertexId, v: VertexId) -> Option<(VertexId, VertexId)> {
     (u != v).then_some((u, v))
 }
 
+/// A graph in canonical form: its vertex count, direction, sorted and
+/// deduplicated edge keys, and the weight of each key when the graph
+/// is weighted. Canonical edge id `c` is the key at index `c`.
+///
+/// Two spellings of the same edge set (any row order, self-loops,
+/// repeated rows) have equal `EdgeKeys`, so equality here is graph
+/// identity and [`EdgeKeys::hash`] is the canonical hash. Nothing is
+/// built beyond the key array: the CSR form comes from
+/// [`EdgeKeys::graph`] / [`EdgeKeys::digraph`] only when it is needed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EdgeKeys {
+    n: usize,
+    directed: bool,
+    keys: Vec<(VertexId, VertexId)>,
+    weights: Option<Vec<u64>>,
+}
+
+impl EdgeKeys {
+    /// Number of vertices.
+    pub fn num_vertices(&self) -> usize {
+        self.n
+    }
+
+    /// Number of edges.
+    pub fn num_edges(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The edge keys in canonical order.
+    pub fn keys(&self) -> &[(VertexId, VertexId)] {
+        &self.keys
+    }
+
+    /// The weight of each key, in canonical order, for a weighted
+    /// graph.
+    pub fn weights(&self) -> Option<&[u64]> {
+        self.weights.as_deref()
+    }
+
+    /// The canonical hash: [`graph_hash`], [`weighted_graph_hash`] or
+    /// [`digraph_hash`] of the graph these keys describe, computed from
+    /// the keys alone.
+    pub fn hash(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        h.write_u64(match (self.directed, &self.weights) {
+            (true, _) => TAG_DIRECTED,
+            (false, None) => TAG_UNDIRECTED,
+            (false, Some(_)) => TAG_WEIGHTED,
+        });
+        h.write_usize(self.n);
+        h.write_usize(self.keys.len());
+        match &self.weights {
+            None => {
+                for &(u, v) in &self.keys {
+                    h.write_usize(u);
+                    h.write_usize(v);
+                }
+            }
+            Some(weights) => {
+                for (&(u, v), &w) in self.keys.iter().zip(weights) {
+                    h.write_usize(u);
+                    h.write_usize(v);
+                    h.write_u64(w);
+                }
+            }
+        }
+        h.finish()
+    }
+
+    /// The undirected graph with edge ids in canonical order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the keys are directed.
+    pub fn graph(&self) -> Graph {
+        assert!(!self.directed, "directed keys build a DiGraph");
+        Graph::from_edges(self.n, self.keys.iter().copied())
+    }
+
+    /// The directed graph with edge ids in canonical order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the keys are undirected.
+    pub fn digraph(&self) -> DiGraph {
+        assert!(self.directed, "undirected keys build a Graph");
+        DiGraph::from_edges(self.n, self.keys.iter().copied())
+    }
+}
+
+/// [`EdgeKeys`] plus the permutation back to the edge ids a caller
+/// submitted: the result of normalizing one edge list.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CanonicalEdges {
+    /// The canonical edge set.
+    pub keys: EdgeKeys,
+    /// `from_canonical[canonical_id] = submitted_id`.
+    pub from_canonical: Vec<EdgeId>,
+}
+
+impl CanonicalEdges {
+    /// The keys of an undirected graph, with `weights` attached when
+    /// given, and the permutation back to `g`'s edge ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` does not match `g`.
+    pub fn of_graph(g: &Graph, weights: Option<&EdgeWeights>) -> Self {
+        if let Some(w) = weights {
+            assert_eq!(w.len(), g.num_edges(), "weights must match edges");
+        }
+        // `Graph` stores endpoints min-first already, so the stored
+        // pairs are the undirected keys, and they are unique.
+        Self::of_unique(
+            g.num_vertices(),
+            false,
+            g.edges().map(|(e, u, v)| ((u, v), e)).collect(),
+            weights,
+        )
+    }
+
+    /// The keys of a directed graph and the permutation back to `g`'s
+    /// edge ids.
+    pub fn of_digraph(g: &DiGraph) -> Self {
+        Self::of_unique(
+            g.num_vertices(),
+            true,
+            g.edges().map(|(e, u, v)| ((u, v), e)).collect(),
+            None,
+        )
+    }
+
+    fn of_unique(
+        n: usize,
+        directed: bool,
+        mut order: Vec<((VertexId, VertexId), EdgeId)>,
+        weights: Option<&EdgeWeights>,
+    ) -> Self {
+        order.sort_unstable();
+        CanonicalEdges {
+            keys: EdgeKeys {
+                n,
+                directed,
+                keys: order.iter().map(|&(key, _)| key).collect(),
+                weights: weights.map(|w| order.iter().map(|&(_, e)| w.get(e)).collect()),
+            },
+            from_canonical: order.into_iter().map(|(_, e)| e).collect(),
+        }
+    }
+
+    /// `to_canonical[submitted_id] = canonical_id`, the inverse of
+    /// [`CanonicalEdges::from_canonical`].
+    pub fn to_canonical(&self) -> Vec<EdgeId> {
+        let mut to = vec![0; self.from_canonical.len()];
+        for (canonical, &submitted) in self.from_canonical.iter().enumerate() {
+            to[submitted] = canonical;
+        }
+        to
+    }
+
+    fn submitted_keys(&self) -> Vec<(VertexId, VertexId)> {
+        let mut edges = vec![(0, 0); self.from_canonical.len()];
+        for (&key, &submitted) in self.keys.keys.iter().zip(&self.from_canonical) {
+            edges[submitted] = key;
+        }
+        edges
+    }
+
+    /// The undirected graph with edge ids in submitted order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the keys are directed.
+    pub fn submitted_graph(&self) -> Graph {
+        assert!(!self.keys.directed, "directed keys build a DiGraph");
+        Graph::from_edges(self.keys.n, self.submitted_keys())
+    }
+
+    /// The directed graph with edge ids in submitted order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the keys are undirected.
+    pub fn submitted_digraph(&self) -> DiGraph {
+        assert!(self.keys.directed, "undirected keys build a Graph");
+        DiGraph::from_edges(self.keys.n, self.submitted_keys())
+    }
+
+    /// The weights indexed by submitted edge id, for a weighted graph.
+    pub fn submitted_weights(&self) -> Option<EdgeWeights> {
+        let weights = self.keys.weights.as_ref()?;
+        let mut out = vec![0; weights.len()];
+        for (&w, &submitted) in weights.iter().zip(&self.from_canonical) {
+            out[submitted] = w;
+        }
+        Some(EdgeWeights::from_vec(out))
+    }
+}
+
+/// Normalizes an edge list row by row into [`CanonicalEdges`].
+///
+/// This is the one normalization every decoder shares (text edge
+/// lists, wire frames, JSON bodies):
+///
+/// * a row is `[u, v]` or `[u, v, w]`; any other arity is
+///   [`ParseGraphError::BadLine`], an endpoint `>= n` is
+///   [`ParseGraphError::VertexOutOfRange`], both reported at the first
+///   offending row;
+/// * self-loop rows are dropped;
+/// * a repeated edge (either orientation, when undirected) keeps only
+///   its first occurrence, and with it the first occurrence's weight;
+/// * submitted edge ids number the surviving rows in arrival order;
+/// * undirected rows must be all weighted or all unweighted, judged
+///   over the surviving rows only
+///   ([`ParseGraphError::InconsistentWeights`]); directed rows may
+///   carry a third field, which is ignored.
+///
+/// [`KeyBuilder::finish`] sorts once, so normalizing `m` rows costs
+/// one O(m log m) sort and no hashing.
+#[derive(Clone, Debug)]
+pub struct KeyBuilder {
+    n: usize,
+    directed: bool,
+    /// `(key, arrival)` of each row that is not a self-loop.
+    rows: Vec<((VertexId, VertexId), usize)>,
+    /// The third field of each such row, by arrival.
+    weights: Vec<Option<u64>>,
+}
+
+impl KeyBuilder {
+    /// A builder for a graph on `n` vertices.
+    pub fn new(n: usize, directed: bool) -> Self {
+        KeyBuilder {
+            n,
+            directed,
+            rows: Vec::new(),
+            weights: Vec::new(),
+        }
+    }
+
+    /// Adds one row; `line` is the position reported in errors.
+    pub fn push_row(&mut self, line: usize, fields: &[u64]) -> Result<(), ParseGraphError> {
+        let (u, v, weight) = match *fields {
+            [u, v] => (u, v, None),
+            [u, v, w] => (u, v, Some(w)),
+            _ => return Err(ParseGraphError::BadLine(line)),
+        };
+        // Range-check in u64 before narrowing: casting first would
+        // wrap huge ids on 32-bit hosts and silently accept a wrong
+        // edge.
+        let in_range = |x: u64| usize::try_from(x).ok().filter(|&x| x < self.n);
+        let (Some(u), Some(v)) = (in_range(u), in_range(v)) else {
+            return Err(ParseGraphError::VertexOutOfRange(line));
+        };
+        let key = if self.directed {
+            directed_key(u, v)
+        } else {
+            undirected_key(u, v)
+        };
+        if let Some(key) = key {
+            self.rows.push((key, self.weights.len()));
+            self.weights.push(weight);
+        }
+        Ok(())
+    }
+
+    /// Sorts and deduplicates the rows into canonical form.
+    pub fn finish(self) -> Result<CanonicalEdges, ParseGraphError> {
+        let mut rows = self.rows;
+        // Arrival breaks ties, so each key's first occurrence sorts
+        // first within its run.
+        rows.sort_unstable();
+        let mut keys: Vec<(VertexId, VertexId)> = Vec::with_capacity(rows.len());
+        let mut first: Vec<usize> = Vec::with_capacity(rows.len());
+        for &(key, arrival) in &rows {
+            if keys.last() != Some(&key) {
+                keys.push(key);
+                first.push(arrival);
+            }
+        }
+        drop(rows);
+        // Submitted ids number the first occurrences in arrival order.
+        const DROPPED: usize = usize::MAX;
+        let mut canonical_of = vec![DROPPED; self.weights.len()];
+        for (canonical, &arrival) in first.iter().enumerate() {
+            canonical_of[arrival] = canonical;
+        }
+        let mut from_canonical = vec![0; keys.len()];
+        let (mut any_weight, mut any_plain) = (false, false);
+        let mut submitted = 0;
+        for (arrival, &canonical) in canonical_of.iter().enumerate() {
+            if canonical == DROPPED {
+                continue;
+            }
+            from_canonical[canonical] = submitted;
+            submitted += 1;
+            if self.weights[arrival].is_some() {
+                any_weight = true;
+            } else {
+                any_plain = true;
+            }
+        }
+        let weights = if self.directed || !any_weight {
+            None
+        } else if any_plain {
+            return Err(ParseGraphError::InconsistentWeights);
+        } else {
+            Some(
+                first
+                    .iter()
+                    .map(|&arrival| self.weights[arrival].unwrap_or(0))
+                    .collect(),
+            )
+        };
+        Ok(CanonicalEdges {
+            keys: EdgeKeys {
+                n: self.n,
+                directed: self.directed,
+                keys,
+                weights,
+            },
+            from_canonical,
+        })
+    }
+}
+
 /// A graph rebuilt with edge ids in canonical (sorted endpoint-pair)
 /// order, plus the id translation to and from the original graph.
 #[derive(Clone, Debug)]
@@ -105,19 +436,11 @@ pub struct CanonicalGraph {
 /// pure reordering: `graph` is [`PartialEq`]-equal to `g` exactly when
 /// the edges of `g` were already sorted.
 pub fn canonicalize(g: &Graph) -> CanonicalGraph {
-    // `Graph` stores endpoints min-first already, so the stored pairs
-    // are the undirected keys.
-    let mut order: Vec<EdgeId> = (0..g.num_edges()).collect();
-    order.sort_unstable_by_key(|&e| g.endpoints(e));
-    let mut to_canonical = vec![0; g.num_edges()];
-    for (canonical, &original) in order.iter().enumerate() {
-        to_canonical[original] = canonical;
-    }
-    let graph = Graph::from_edges(g.num_vertices(), order.iter().map(|&e| g.endpoints(e)));
+    let c = CanonicalEdges::of_graph(g, None);
     CanonicalGraph {
-        graph,
-        to_canonical,
-        from_canonical: order,
+        graph: c.keys.graph(),
+        to_canonical: c.to_canonical(),
+        from_canonical: c.from_canonical,
     }
 }
 
@@ -135,17 +458,11 @@ pub struct CanonicalDiGraph {
 
 /// Rebuilds `g` with edge ids in canonical order. See [`canonicalize`].
 pub fn canonicalize_digraph(g: &DiGraph) -> CanonicalDiGraph {
-    let mut order: Vec<EdgeId> = (0..g.num_edges()).collect();
-    order.sort_unstable_by_key(|&e| g.endpoints(e));
-    let mut to_canonical = vec![0; g.num_edges()];
-    for (canonical, &original) in order.iter().enumerate() {
-        to_canonical[original] = canonical;
-    }
-    let graph = DiGraph::from_edges(g.num_vertices(), order.iter().map(|&e| g.endpoints(e)));
+    let c = CanonicalEdges::of_digraph(g);
     CanonicalDiGraph {
-        graph,
-        to_canonical,
-        from_canonical: order,
+        graph: c.keys.digraph(),
+        to_canonical: c.to_canonical(),
+        from_canonical: c.from_canonical,
     }
 }
 
@@ -155,33 +472,17 @@ const TAG_UNDIRECTED: u64 = 0x7573;
 const TAG_DIRECTED: u64 = 0x6469;
 const TAG_WEIGHTED: u64 = 0x7765;
 
-fn hash_sorted_pairs(h: &mut Fnv1a, mut pairs: Vec<(VertexId, VertexId)>) {
-    pairs.sort_unstable();
-    h.write_usize(pairs.len());
-    for (u, v) in pairs {
-        h.write_usize(u);
-        h.write_usize(v);
-    }
-}
-
 /// The canonical (insertion-order-independent) hash of an undirected
-/// graph.
+/// graph: FNV-1a over the domain tag, the vertex count, the edge count
+/// and the canonically ordered keys.
 pub fn graph_hash(g: &Graph) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_u64(TAG_UNDIRECTED);
-    h.write_usize(g.num_vertices());
-    hash_sorted_pairs(&mut h, g.edges().map(|(_, u, v)| (u, v)).collect());
-    h.finish()
+    CanonicalEdges::of_graph(g, None).keys.hash()
 }
 
 /// The canonical hash of a directed graph. Disjoint from undirected
 /// hashes by domain tag.
 pub fn digraph_hash(g: &DiGraph) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_u64(TAG_DIRECTED);
-    h.write_usize(g.num_vertices());
-    hash_sorted_pairs(&mut h, g.edges().map(|(_, u, v)| (u, v)).collect());
-    h.finish()
+    CanonicalEdges::of_digraph(g).keys.hash()
 }
 
 /// The canonical hash of a weighted undirected graph: each edge is
@@ -191,20 +492,7 @@ pub fn digraph_hash(g: &DiGraph) -> u64 {
 ///
 /// Panics if the weights don't match the graph.
 pub fn weighted_graph_hash(g: &Graph, w: &EdgeWeights) -> u64 {
-    assert_eq!(w.len(), g.num_edges(), "weights must match edges");
-    let mut triples: Vec<(VertexId, VertexId, u64)> =
-        g.edges().map(|(e, u, v)| (u, v, w.get(e))).collect();
-    triples.sort_unstable();
-    let mut h = Fnv1a::new();
-    h.write_u64(TAG_WEIGHTED);
-    h.write_usize(g.num_vertices());
-    h.write_usize(triples.len());
-    for (u, v, weight) in triples {
-        h.write_usize(u);
-        h.write_usize(v);
-        h.write_u64(weight);
-    }
-    h.finish()
+    CanonicalEdges::of_graph(g, Some(w)).keys.hash()
 }
 
 #[cfg(test)]

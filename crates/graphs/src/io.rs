@@ -5,17 +5,17 @@
 //! edge (whitespace separated, `#`-comments and blank lines ignored).
 //! Directed graphs use the same format; direction is tail then head.
 //!
-//! Parsing *normalizes* through [`crate::canon`]: self-loop lines are
-//! dropped and repeated edges keep only their first occurrence (first
-//! weight wins), so a parsed graph always satisfies the simple-graph
-//! invariants and its [`crate::canon::graph_hash`] agrees with the
-//! hash of any other spelling of the same edge set.
+//! Parsing *normalizes* through [`crate::canon::KeyBuilder`]: self-loop
+//! lines are dropped and repeated edges keep only their first
+//! occurrence (first weight wins), so a parsed graph always satisfies
+//! the simple-graph invariants and its [`crate::canon::graph_hash`]
+//! agrees with the hash of any other spelling of the same edge set.
 
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::num::ParseIntError;
 
-use crate::{canon, DiGraph, EdgeWeights, Graph, VertexId};
+use crate::canon::{CanonicalEdges, EdgeKeys, KeyBuilder};
+use crate::{DiGraph, EdgeWeights, Graph, VertexId};
 
 /// Errors from [`parse_edge_list`] / [`parse_directed_edge_list`].
 #[derive(Debug, PartialEq, Eq)]
@@ -56,37 +56,63 @@ impl From<(usize, ParseIntError)> for ParseGraphError {
     }
 }
 
+/// Writes the `# n` header and one line per `(u, v, weight)` row.
+fn write_rows(
+    out: &mut String,
+    n: usize,
+    rows: impl Iterator<Item = (VertexId, VertexId, Option<u64>)>,
+) {
+    let _ = writeln!(out, "# n {n}");
+    for (u, v, w) in rows {
+        let _ = match w {
+            Some(w) => writeln!(out, "{u} {v} {w}"),
+            None => writeln!(out, "{u} {v}"),
+        };
+    }
+}
+
 /// Serializes a graph (optionally weighted) as an edge list.
 pub fn to_edge_list(g: &Graph, w: Option<&EdgeWeights>) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "# n {}", g.num_vertices());
-    for (e, u, v) in g.edges() {
-        match w {
-            Some(w) => {
-                let _ = writeln!(out, "{u} {v} {}", w.get(e));
-            }
-            None => {
-                let _ = writeln!(out, "{u} {v}");
-            }
-        }
-    }
+    write_rows(
+        &mut out,
+        g.num_vertices(),
+        g.edges().map(|(e, u, v)| (u, v, w.map(|w| w.get(e)))),
+    );
     out
 }
 
 /// Serializes a directed graph as an edge list (tail head per line).
 pub fn to_directed_edge_list(g: &DiGraph) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "# n {}", g.num_vertices());
-    for (_, u, v) in g.edges() {
-        let _ = writeln!(out, "{u} {v}");
-    }
+    write_rows(
+        &mut out,
+        g.num_vertices(),
+        g.edges().map(|(_, u, v)| (u, v, None)),
+    );
     out
 }
 
-/// Parsed data rows: (line number, numeric fields).
-type DataRows = Vec<(usize, Vec<u64>)>;
+/// Appends the edge list of canonical keys to `out`: the same bytes
+/// [`to_edge_list`] / [`to_directed_edge_list`] give for the graph
+/// the keys build, without building it.
+pub fn write_keys(out: &mut String, keys: &EdgeKeys) {
+    let weights = keys.weights();
+    write_rows(
+        out,
+        keys.num_vertices(),
+        keys.keys()
+            .iter()
+            .enumerate()
+            .map(|(c, &(u, v))| (u, v, weights.map(|w| w[c]))),
+    );
+}
 
-fn parse_lines(text: &str) -> Result<(usize, DataRows), ParseGraphError> {
+/// One data line: its number, its fields and how many there are (2
+/// or 3).
+type Row = (usize, [u64; 3], usize);
+
+fn parse_lines(text: &str) -> Result<(usize, Vec<Row>), ParseGraphError> {
     let mut n: Option<usize> = None;
     let mut rows = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
@@ -96,37 +122,50 @@ fn parse_lines(text: &str) -> Result<(usize, DataRows), ParseGraphError> {
             continue;
         }
         if let Some(rest) = line.strip_prefix('#') {
-            let fields: Vec<&str> = rest.split_whitespace().collect();
-            if n.is_none() && fields.len() == 2 && fields[0] == "n" {
-                n = Some(fields[1].parse().map_err(|e| (line_no, e))?);
+            let mut fields = rest.split_whitespace();
+            if let (None, Some("n"), Some(count), None) =
+                (n, fields.next(), fields.next(), fields.next())
+            {
+                n = Some(count.parse().map_err(|e| (line_no, e))?);
             }
             continue;
         }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        if fields.len() != 2 && fields.len() != 3 {
+        let mut fields = [""; 3];
+        let mut arity = 0;
+        for field in line.split_whitespace() {
+            if arity == 3 {
+                return Err(ParseGraphError::BadLine(line_no));
+            }
+            fields[arity] = field;
+            arity += 1;
+        }
+        if arity < 2 {
             return Err(ParseGraphError::BadLine(line_no));
         }
-        let nums: Vec<u64> = fields
-            .iter()
-            .map(|f| f.parse::<u64>().map_err(|e| (line_no, e).into()))
-            .collect::<Result<_, ParseGraphError>>()?;
-        rows.push((line_no, nums));
+        let mut nums = [0u64; 3];
+        for (num, field) in nums.iter_mut().zip(&fields[..arity]) {
+            *num = field.parse().map_err(|e| (line_no, e))?;
+        }
+        rows.push((line_no, nums, arity));
     }
     let n = n.ok_or(ParseGraphError::MissingHeader)?;
     Ok((n, rows))
 }
 
-fn endpoints_checked(
-    n: usize,
-    line: usize,
-    nums: &[u64],
-) -> Result<(VertexId, VertexId), ParseGraphError> {
-    // Range-check in u64 before narrowing: casting first would wrap
-    // huge ids on 32-bit hosts and silently accept a wrong edge.
-    if nums[0] >= n as u64 || nums[1] >= n as u64 {
-        return Err(ParseGraphError::VertexOutOfRange(line));
+/// Parses an edge list straight into canonical form: the sorted,
+/// deduplicated keys plus the permutation back to the submitted edge
+/// ids, with the [`KeyBuilder`] normalization and no graph built.
+/// `directed` reads each line as tail then head.
+pub fn parse_canonical_edge_list(
+    text: &str,
+    directed: bool,
+) -> Result<CanonicalEdges, ParseGraphError> {
+    let (n, rows) = parse_lines(text)?;
+    let mut builder = KeyBuilder::new(n, directed);
+    for (line, nums, arity) in &rows {
+        builder.push_row(*line, &nums[..*arity])?;
     }
-    Ok((nums[0] as usize, nums[1] as usize))
+    builder.finish()
 }
 
 /// Parses an undirected edge list; returns the graph and, when every
@@ -137,106 +176,20 @@ fn endpoints_checked(
 /// valid simple graph whose canonical hash matches any other spelling
 /// of the same edge set.
 pub fn parse_edge_list(text: &str) -> Result<(Graph, Option<EdgeWeights>), ParseGraphError> {
-    let (n, rows) = parse_lines(text)?;
-    build_graph(n, rows.iter().map(|(line, nums)| (*line, nums.as_slice())))
+    let c = parse_canonical_edge_list(text, false)?;
+    Ok((c.submitted_graph(), c.submitted_weights()))
 }
 
 /// Parses a directed edge list, with the same normalization as
 /// [`parse_edge_list`] (directed: `(u, v)` and `(v, u)` are distinct).
 pub fn parse_directed_edge_list(text: &str) -> Result<DiGraph, ParseGraphError> {
-    let (n, rows) = parse_lines(text)?;
-    build_digraph(n, rows.iter().map(|(line, nums)| (*line, nums.as_slice())))
-}
-
-/// Builds a normalized undirected graph from numeric rows (`[u, v]` or
-/// `[u, v, w]` each) — the non-text entry point to exactly the
-/// normalization [`parse_edge_list`] applies, so the HTTP/JSON facade
-/// and the text protocol can never drift. Row `i` is reported as line
-/// `i + 1` in errors.
-pub fn edge_rows_to_graph(
-    n: usize,
-    rows: &[Vec<u64>],
-) -> Result<(Graph, Option<EdgeWeights>), ParseGraphError> {
-    build_graph(
-        n,
-        rows.iter().enumerate().map(|(i, r)| (i + 1, r.as_slice())),
-    )
-}
-
-/// Directed counterpart of [`edge_rows_to_graph`] (rows are
-/// `[tail, head]`).
-pub fn edge_rows_to_digraph(n: usize, rows: &[Vec<u64>]) -> Result<DiGraph, ParseGraphError> {
-    build_digraph(
-        n,
-        rows.iter().enumerate().map(|(i, r)| (i + 1, r.as_slice())),
-    )
-}
-
-fn build_graph<'a>(
-    n: usize,
-    rows: impl Iterator<Item = (usize, &'a [u64])>,
-) -> Result<(Graph, Option<EdgeWeights>), ParseGraphError> {
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-    let mut seen: BTreeSet<(VertexId, VertexId)> = BTreeSet::new();
-    let mut weights: Vec<u64> = Vec::new();
-    let mut any_weight = false;
-    let mut any_plain = false;
-    for (line, nums) in rows {
-        if nums.len() != 2 && nums.len() != 3 {
-            return Err(ParseGraphError::BadLine(line));
-        }
-        let (u, v) = endpoints_checked(n, line, nums)?;
-        let Some(key) = canon::undirected_key(u, v) else {
-            continue; // self-loop
-        };
-        if !seen.insert(key) {
-            continue; // duplicate edge: first occurrence wins
-        }
-        // Weight consistency is judged over the *surviving* lines:
-        // a dropped self-loop or duplicate cannot poison the parse.
-        if nums.len() == 3 {
-            any_weight = true;
-        } else {
-            any_plain = true;
-        }
-        edges.push((u, v));
-        if nums.len() == 3 {
-            weights.push(nums[2]);
-        }
-    }
-    if any_weight && any_plain {
-        return Err(ParseGraphError::InconsistentWeights);
-    }
-    let w = any_weight.then(|| EdgeWeights::from_vec(weights));
-    Ok((Graph::from_edges(n, edges), w))
-}
-
-fn build_digraph<'a>(
-    n: usize,
-    rows: impl Iterator<Item = (usize, &'a [u64])>,
-) -> Result<DiGraph, ParseGraphError> {
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-    let mut seen: BTreeSet<(VertexId, VertexId)> = BTreeSet::new();
-    for (line, nums) in rows {
-        if nums.len() != 2 && nums.len() != 3 {
-            return Err(ParseGraphError::BadLine(line));
-        }
-        let (u, v) = endpoints_checked(n, line, nums)?;
-        let Some(key) = canon::directed_key(u, v) else {
-            continue;
-        };
-        if !seen.insert(key) {
-            continue;
-        }
-        edges.push((u, v));
-    }
-    Ok(DiGraph::from_edges(n, edges))
+    Ok(parse_canonical_edge_list(text, true)?.submitted_digraph())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen;
+    use crate::{canon, gen};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -279,31 +232,63 @@ mod tests {
 
     #[test]
     fn row_builders_agree_with_text_parsers() {
-        // The row builders are the same normalization as the text
+        // The row builder is the same normalization as the text
         // parsers: same graph, same edge ids, same errors.
-        let rows = |list: &[&[u64]]| -> Vec<Vec<u64>> { list.iter().map(|r| r.to_vec()).collect() };
-        let noisy = rows(&[&[0, 1], &[1, 1], &[1, 2], &[1, 0], &[2, 3], &[3, 2]]);
-        let (from_rows, w) = edge_rows_to_graph(4, &noisy).unwrap();
+        let build = |n: usize, directed: bool, rows: &[&[u64]]| {
+            let mut b = KeyBuilder::new(n, directed);
+            for (i, row) in rows.iter().enumerate() {
+                b.push_row(i + 1, row)?;
+            }
+            b.finish()
+        };
+        let noisy: &[&[u64]] = &[&[0, 1], &[1, 1], &[1, 2], &[1, 0], &[2, 3], &[3, 2]];
+        let from_rows = build(4, false, noisy).unwrap();
         let (from_text, _) = parse_edge_list("# n 4\n0 1\n1 1\n1 2\n1 0\n2 3\n3 2\n").unwrap();
-        assert_eq!(from_rows, from_text);
-        assert!(w.is_none());
-        let (weighted, w) = edge_rows_to_graph(3, &rows(&[&[0, 1, 5], &[1, 2, 7]])).unwrap();
-        assert_eq!(weighted.num_edges(), 2);
-        assert_eq!(w, Some(EdgeWeights::from_vec(vec![5, 7])));
-        let d = edge_rows_to_digraph(3, &rows(&[&[0, 1], &[1, 0], &[0, 1]])).unwrap();
-        assert_eq!(d.num_edges(), 2, "directed keeps both orientations");
+        assert_eq!(from_rows.submitted_graph(), from_text);
+        assert_eq!(from_rows.submitted_weights(), None);
+        let weighted = build(3, false, &[&[1, 2, 7], &[0, 1, 5]]).unwrap();
+        assert_eq!(weighted.keys.keys(), &[(0, 1), (1, 2)]);
+        assert_eq!(weighted.keys.weights(), Some(&[5, 7][..]));
+        assert_eq!(weighted.from_canonical, vec![1, 0]);
+        assert_eq!(
+            weighted.submitted_weights(),
+            Some(EdgeWeights::from_vec(vec![7, 5]))
+        );
+        let d = build(3, true, &[&[0, 1], &[1, 0], &[0, 1]]).unwrap();
+        assert_eq!(d.keys.num_edges(), 2, "directed keeps both orientations");
         // Errors carry 1-based row positions, like text line numbers.
         assert_eq!(
-            edge_rows_to_graph(3, &rows(&[&[0, 1], &[0]])),
+            build(3, false, &[&[0, 1], &[0]]),
             Err(ParseGraphError::BadLine(2))
         );
         assert_eq!(
-            edge_rows_to_graph(3, &rows(&[&[0, 5]])),
+            build(3, false, &[&[0, 5]]),
             Err(ParseGraphError::VertexOutOfRange(1))
         );
         assert_eq!(
-            edge_rows_to_graph(3, &rows(&[&[0, 1, 9], &[1, 2]])),
+            build(3, false, &[&[0, 1, 9], &[1, 2]]),
             Err(ParseGraphError::InconsistentWeights)
+        );
+    }
+
+    #[test]
+    fn written_keys_match_the_built_graph_text() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let g = gen::gnp_connected(16, 0.3, &mut rng);
+        let w = gen::random_weights(g.num_edges(), 0, 9, &mut rng);
+        let c = canon::canonicalize(&g);
+        let cw = EdgeWeights::from_fn(g.num_edges(), |e| w.get(c.from_canonical[e]));
+        let keys = parse_canonical_edge_list(&to_edge_list(&g, Some(&w)), false).unwrap();
+        let mut text = String::new();
+        write_keys(&mut text, &keys.keys);
+        assert_eq!(text, to_edge_list(&c.graph, Some(&cw)));
+        let d = gen::random_digraph_connected(10, 0.2, &mut rng);
+        let keys = parse_canonical_edge_list(&to_directed_edge_list(&d), true).unwrap();
+        let mut text = String::new();
+        write_keys(&mut text, &keys.keys);
+        assert_eq!(
+            text,
+            to_directed_edge_list(&canon::canonicalize_digraph(&d).graph)
         );
     }
 

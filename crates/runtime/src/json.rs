@@ -246,6 +246,180 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// A pull reader over one JSON document: the decoder walks objects
+/// and arrays itself and reads scalars one at a time, so a large array
+/// (a graph's edge rows, say) streams into the caller's own buffers
+/// instead of a [`Json`] tree.
+///
+/// It accepts exactly the documents [`Json::parse`] accepts: the same
+/// grammar, number rules, escapes and [`MAX_DEPTH`] bound. A value the
+/// caller does not want to walk is read whole with [`Reader::value`].
+///
+/// ```
+/// use dsa_runtime::json::Reader;
+///
+/// let mut r = Reader::new(r#"{"rows": [[0, 1], [1, 2]], "n": 3}"#);
+/// assert!(r.start_object().unwrap());
+/// let mut rows = Vec::new();
+/// while let Some(key) = r.next_key().unwrap() {
+///     if key == "rows" {
+///         assert!(r.start_array().unwrap());
+///         while r.next_element().unwrap() {
+///             assert!(r.start_array().unwrap());
+///             while r.next_element().unwrap() {
+///                 rows.push(r.read_u64().unwrap().unwrap());
+///             }
+///         }
+///     } else {
+///         assert_eq!(r.value().unwrap().as_u64(), Some(3));
+///     }
+/// }
+/// r.finish().unwrap();
+/// assert_eq!(rows, [0, 1, 1, 2]);
+/// ```
+pub struct Reader<'a> {
+    p: Parser<'a>,
+    /// Containers opened and not yet closed: the depth of the next
+    /// value, as [`Json::parse`] counts it.
+    depth: usize,
+    /// Set when a container was just opened, so the next
+    /// [`Reader::next_key`] / [`Reader::next_element`] reads no comma.
+    fresh: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader positioned before the document's one value.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            p: Parser {
+                bytes: text.as_bytes(),
+                pos: 0,
+            },
+            depth: 0,
+            fresh: false,
+        }
+    }
+
+    fn open(&mut self, open: u8) -> Result<bool, JsonError> {
+        self.p.skip_ws();
+        if self.p.peek() != Some(open) {
+            return Ok(false);
+        }
+        if self.depth > MAX_DEPTH {
+            return Err(self.p.error(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.p.pos += 1;
+        self.depth += 1;
+        self.fresh = true;
+        Ok(true)
+    }
+
+    /// Enters the next value if it is an object; `false` (nothing
+    /// consumed) if it is some other value.
+    pub fn start_object(&mut self) -> Result<bool, JsonError> {
+        self.open(b'{')
+    }
+
+    /// Enters the next value if it is an array; `false` (nothing
+    /// consumed) if it is some other value.
+    pub fn start_array(&mut self) -> Result<bool, JsonError> {
+        self.open(b'[')
+    }
+
+    /// Moves past the separator before the next member or element of
+    /// the innermost open container; `false` once `close` ends it.
+    fn advance(&mut self, close: u8, message: &str) -> Result<bool, JsonError> {
+        self.p.skip_ws();
+        let fresh = std::mem::take(&mut self.fresh);
+        match self.p.peek() {
+            Some(b) if b == close => {
+                self.p.pos += 1;
+                self.depth = self.depth.saturating_sub(1);
+                Ok(false)
+            }
+            _ if fresh => Ok(true),
+            Some(b',') => {
+                self.p.pos += 1;
+                self.p.skip_ws();
+                Ok(true)
+            }
+            _ => Err(self.p.error(message)),
+        }
+    }
+
+    /// The next key of the innermost open object, positioned at its
+    /// value; `None` once the object is closed.
+    pub fn next_key(&mut self) -> Result<Option<String>, JsonError> {
+        if !self.advance(b'}', "expected `,` or `}` in object")? {
+            return Ok(None);
+        }
+        let key = self.p.string()?;
+        self.p.skip_ws();
+        if self.p.peek() != Some(b':') {
+            return Err(self.p.error("expected `:`"));
+        }
+        self.p.pos += 1;
+        self.p.skip_ws();
+        Ok(Some(key))
+    }
+
+    /// Whether the innermost open array has another element, positioned
+    /// at it; `false` once the array is closed.
+    pub fn next_element(&mut self) -> Result<bool, JsonError> {
+        self.advance(b']', "expected `,` or `]` in array")
+    }
+
+    /// Reads the next value whole.
+    pub fn value(&mut self) -> Result<Json, JsonError> {
+        self.p.skip_ws();
+        self.p.value(self.depth)
+    }
+
+    /// Reads the next value as a `u64`: `Some` for a non-negative
+    /// integer (exactly when [`Json::as_u64`] would give one), `None`
+    /// for any other well-formed value.
+    pub fn read_u64(&mut self) -> Result<Option<u64>, JsonError> {
+        self.p.skip_ws();
+        let start = self.p.pos;
+        // Fast path: plain digits without a leading zero, ending
+        // where a number ends; anything else takes the general parse.
+        let mut x: u64 = 0;
+        let mut digits = 0;
+        while let Some(d) = self.p.peek().filter(u8::is_ascii_digit) {
+            match x
+                .checked_mul(10)
+                .and_then(|x| x.checked_add(u64::from(d - b'0')))
+            {
+                Some(next) => x = next,
+                None => break,
+            }
+            self.p.pos += 1;
+            digits += 1;
+        }
+        let plain = digits > 0
+            && self.depth <= MAX_DEPTH
+            && !(digits > 1 && self.p.bytes[start] == b'0')
+            && !matches!(
+                self.p.peek(),
+                Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'-' | b'+')
+            );
+        if plain {
+            return Ok(Some(x));
+        }
+        self.p.pos = start;
+        Ok(self.value()?.as_u64())
+    }
+
+    /// Checks that nothing but whitespace follows the document.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.p.skip_ws();
+        if self.p.pos != self.p.bytes.len() {
+            return Err(self.p.error("trailing content after JSON value"));
+        }
+        Ok(())
+    }
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -682,6 +856,103 @@ mod tests {
     fn nonfinite_floats_encode_as_null() {
         assert_eq!(Json::F64(f64::NAN).encode(), "null");
         assert_eq!(Json::F64(f64::INFINITY).encode(), "null");
+    }
+
+    /// Rebuilds a tree through the pull reader, walking every
+    /// container and reading every number with `read_u64` first.
+    fn pull(text: &str) -> Result<Json, JsonError> {
+        fn walk(r: &mut Reader<'_>) -> Result<Json, JsonError> {
+            if r.start_object()? {
+                let mut pairs = Vec::new();
+                while let Some(key) = r.next_key()? {
+                    pairs.push((key, walk(r)?));
+                }
+                return Ok(Json::Obj(pairs));
+            }
+            if r.start_array()? {
+                let mut items = Vec::new();
+                while r.next_element()? {
+                    items.push(walk(r)?);
+                }
+                return Ok(Json::Arr(items));
+            }
+            let start = r.p.pos;
+            if let Some(x) = r.read_u64()? {
+                return Ok(Json::U64(x));
+            }
+            r.p.pos = start;
+            r.value()
+        }
+        let mut r = Reader::new(text);
+        let v = walk(&mut r)?;
+        r.finish()?;
+        Ok(v)
+    }
+
+    #[test]
+    fn pull_reader_accepts_exactly_what_parse_accepts() {
+        let deep = |k: usize| format!("{}1{}", "[".repeat(k), "]".repeat(k));
+        let mut docs: Vec<String> = [
+            "",
+            " ",
+            "{",
+            "}",
+            "[",
+            "]",
+            "[1,",
+            "[1 2]",
+            "[,1]",
+            "[1,]",
+            "{,}",
+            "{\"a\" 1}",
+            "{\"a\":}",
+            "{a:1}",
+            "{\"a\":1,}",
+            "tru",
+            "nulll",
+            "1 2",
+            "042",
+            "-",
+            "1.",
+            "1e",
+            "\"abc",
+            "\"a\\q\"",
+            "[1],",
+            "1e999",
+            "01",
+            "[01]",
+            "1x",
+            "[1x]",
+            "null",
+            " 7 ",
+            "-0",
+            "[-0, -1, 0, 10, 18446744073709551615, 18446744073709551616, 1.5, 2e3]",
+            "{\"k\":{\"n\":[[0,1,2],[3]],\"s\":\"\\u0041\"},\"k\":true}",
+            "[[],{},[[]]]",
+            " { \"a\" : [ 1 , 2 ] , \"b\" : { } } ",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        docs.push(deep(MAX_DEPTH));
+        docs.push(deep(MAX_DEPTH + 1));
+        docs.push(format!(
+            "{}{{}}{}",
+            "[".repeat(MAX_DEPTH),
+            "]".repeat(MAX_DEPTH)
+        ));
+        docs.push(format!(
+            "{}{{}}{}",
+            "[".repeat(MAX_DEPTH + 1),
+            "]".repeat(MAX_DEPTH + 1)
+        ));
+        for doc in &docs {
+            match (Json::parse(doc), pull(doc)) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "{doc:?}"),
+                (Err(_), Err(_)) => {}
+                (a, b) => panic!("{doc:?}: parse gave {a:?}, the reader {b:?}"),
+            }
+        }
     }
 
     #[test]

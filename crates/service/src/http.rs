@@ -59,10 +59,10 @@
 //! Edges are `[u, v]` pairs (`[u, v, w]` with a weight for the
 //! `weighted` variant); the graph is normalized exactly as the wire
 //! protocol's text edge lists are (self-loops dropped, duplicate edges
-//! keep their first occurrence — the same [`dsa_graphs::io`] builder
-//! runs under both), so a JSON submission and a wire submission of the
-//! same edge set map to the same canonical job and share one cache
-//! entry. Unknown keys are rejected, mirroring the wire decoder's
+//! keep their first occurrence — the same
+//! [`dsa_graphs::canon::KeyBuilder`] runs under both), so a JSON
+//! submission and a wire submission of the same edge set map to the
+//! same canonical job and share one cache entry. Unknown keys are rejected, mirroring the wire decoder's
 //! unknown-header errors.
 //!
 //! # Job result schema
@@ -116,14 +116,15 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dsa_core::dist::{EngineConfig, VariantInstance, VariantKind};
+use dsa_graphs::canon::KeyBuilder;
 use dsa_graphs::{io as gio, EdgeSet, Graph};
-use dsa_runtime::json::Json;
+use dsa_runtime::json::{Json, JsonError, Reader};
 
 use crate::graphs::{
     DeltaOp, EdgeRole, GraphCreated, GraphError, GraphMeta, GraphPatched, GraphSpannerResult,
     GraphSpec,
 };
-use crate::job::{JobError, JobResponse, JobSpec};
+use crate::job::{CanonicalJob, JobError, JobResponse, JobSpec};
 use crate::net::{ListenerHandle, ShutdownReader, IDLE_POLL};
 use crate::retry::RetryPolicy;
 use crate::service::{Service, ServiceConfig};
@@ -483,9 +484,9 @@ fn route(
         return json(route_graph(method, rest, body, service));
     }
     json(match (path, method) {
-        ("/v1/jobs", "POST") => match decode_job_spec(body) {
+        ("/v1/jobs", "POST") => match decode_job(body) {
             Err(e) => (400, None, None, error_body("bad_request", &e.to_string())),
-            Ok(spec) => match service.run(&spec) {
+            Ok(job) => match service.run_canonical(job) {
                 Ok(resp) => (200, None, None, encode_job_response(&resp)),
                 Err(e @ JobError::Busy { retry_after_ms }) => {
                     let (status, code) = job_error_status_code(&e);
@@ -894,44 +895,167 @@ pub fn encode_job_spec(spec: &JobSpec) -> String {
 /// Decodes a `POST /v1/jobs` body into a job spec. Errors are
 /// [`JobError::Protocol`] and map to HTTP 400; semantic validation
 /// (e.g. a zero accept denominator) stays with the service and maps
-/// to 422.
+/// to 422. The adapter over the keyed decoder the server runs,
+/// rebuilding the instance in submitted edge order.
 pub fn decode_job_spec(body: &[u8]) -> Result<JobSpec, JobError> {
-    let text = std::str::from_utf8(body).map_err(|_| proto("body is not UTF-8"))?;
-    let v = Json::parse(text).map_err(|e| proto(format!("bad JSON: {e}")))?;
-    let pairs = v
-        .as_obj()
-        .ok_or_else(|| proto("job spec must be a JSON object"))?;
-    for (key, _) in pairs {
+    decode_job(body).map(|job| job.to_spec())
+}
+
+fn bad_json(e: JsonError) -> JobError {
+    proto(format!("bad JSON: {e}"))
+}
+
+/// What [`decode_job`] keeps of a body while it streams it: the
+/// *first* value of each known key (a repeated key is read and
+/// ignored, as [`Json::get`] would), with `graph.edges` rows flattened
+/// into one buffer. Rows are buffered rather than normalized on the
+/// fly because JSON keys arrive in any order, and the variant (which
+/// decides directed or undirected keys) and `graph.n` may come last.
+#[derive(Default)]
+struct BodyFields {
+    variant: Option<Json>,
+    seed: Option<Json>,
+    graph: bool,
+    n: Option<Json>,
+    edges: bool,
+    /// Every row's fields, concatenated; row `i` ends at `row_ends[i]`.
+    row_fields: Vec<u64>,
+    row_ends: Vec<usize>,
+    clients: Option<Vec<u64>>,
+    servers: Option<Vec<u64>>,
+    accept_denominator: Option<Json>,
+    monotone: Option<Json>,
+    round_densities: Option<Json>,
+    max_iterations: Option<Json>,
+    shards: Option<Json>,
+    timeout_ms: Option<Json>,
+}
+
+/// Reads the next value into `slot` unless an earlier occurrence of
+/// the key already filled it.
+fn first_value(r: &mut Reader<'_>, slot: &mut Option<Json>) -> Result<(), JobError> {
+    let value = r.value().map_err(bad_json)?;
+    if slot.is_none() {
+        *slot = Some(value);
+    }
+    Ok(())
+}
+
+/// Reads a `clients` / `servers` id array.
+fn read_ids(r: &mut Reader<'_>, key: &str) -> Result<Vec<u64>, JobError> {
+    if !r.start_array().map_err(bad_json)? {
+        return Err(proto(format!("missing `{key}` (array of edge ids)")));
+    }
+    let mut ids = Vec::new();
+    while r.next_element().map_err(bad_json)? {
+        let id = r
+            .read_u64()
+            .map_err(bad_json)?
+            .ok_or_else(|| proto(format!("`{key}` ids must be non-negative integers")))?;
+        ids.push(id);
+    }
+    Ok(ids)
+}
+
+/// Reads the `graph` object: `n`, and the `edges` rows into the flat
+/// row buffer.
+fn read_graph(r: &mut Reader<'_>, f: &mut BodyFields) -> Result<(), JobError> {
+    if !r.start_object().map_err(bad_json)? {
+        return Err(proto("`graph` must be an object"));
+    }
+    while let Some(key) = r.next_key().map_err(bad_json)? {
         match key.as_str() {
-            "variant" | "seed" | "graph" | "clients" | "servers" | "accept_denominator"
-            | "monotone" | "round_densities" | "max_iterations" | "shards" | "timeout_ms" => {}
+            "n" => first_value(r, &mut f.n)?,
+            "edges" if !f.edges => {
+                f.edges = true;
+                if !r.start_array().map_err(bad_json)? {
+                    return Err(proto("missing `graph.edges` (array of arrays)"));
+                }
+                let mut i = 0;
+                while r.next_element().map_err(bad_json)? {
+                    if !r.start_array().map_err(bad_json)? {
+                        return Err(proto(format!("edge {i} must be an array")));
+                    }
+                    while r.next_element().map_err(bad_json)? {
+                        let x = r.read_u64().map_err(bad_json)?.ok_or_else(|| {
+                            proto(format!("edge {i}: fields must be non-negative integers"))
+                        })?;
+                        f.row_fields.push(x);
+                    }
+                    f.row_ends.push(f.row_fields.len());
+                    i += 1;
+                }
+            }
+            "edges" => {
+                r.value().map_err(bad_json)?;
+            }
+            other => return Err(proto(format!("unknown key `graph.{other}`"))),
+        }
+    }
+    Ok(())
+}
+
+/// Decodes a `POST /v1/jobs` body straight into a canonical job: the
+/// body streams through a JSON pull reader (no [`Json`] tree for the
+/// rows), and the rows are normalized into sorted edge keys with
+/// [`KeyBuilder`], so a cache hit never builds a graph.
+///
+/// Accepts and rejects exactly what the schema in the module docs
+/// says, with the normalization of [`dsa_graphs::io`]: the same rows
+/// give the same key, canonical keys and edge-id permutation as a
+/// wire `run` frame. Every rejection is a [`JobError::Protocol`].
+pub(crate) fn decode_job(body: &[u8]) -> Result<CanonicalJob, JobError> {
+    let text = std::str::from_utf8(body).map_err(|_| proto("body is not UTF-8"))?;
+    let mut r = Reader::new(text);
+    if !r.start_object().map_err(bad_json)? {
+        r.value().map_err(bad_json)?;
+        r.finish().map_err(bad_json)?;
+        return Err(proto("job spec must be a JSON object"));
+    }
+    let mut f = BodyFields::default();
+    while let Some(key) = r.next_key().map_err(bad_json)? {
+        match key.as_str() {
+            "variant" => first_value(&mut r, &mut f.variant)?,
+            "seed" => first_value(&mut r, &mut f.seed)?,
+            "graph" if !f.graph => {
+                f.graph = true;
+                read_graph(&mut r, &mut f)?;
+            }
+            "clients" if f.clients.is_none() => f.clients = Some(read_ids(&mut r, "clients")?),
+            "servers" if f.servers.is_none() => f.servers = Some(read_ids(&mut r, "servers")?),
+            "graph" | "clients" | "servers" => {
+                r.value().map_err(bad_json)?;
+            }
+            "accept_denominator" => first_value(&mut r, &mut f.accept_denominator)?,
+            "monotone" => first_value(&mut r, &mut f.monotone)?,
+            "round_densities" => first_value(&mut r, &mut f.round_densities)?,
+            "max_iterations" => first_value(&mut r, &mut f.max_iterations)?,
+            "shards" => first_value(&mut r, &mut f.shards)?,
+            "timeout_ms" => first_value(&mut r, &mut f.timeout_ms)?,
             other => return Err(proto(format!("unknown key `{other}`"))),
         }
     }
-    let variant: VariantKind = v
-        .get("variant")
+    r.finish().map_err(bad_json)?;
+
+    let variant: VariantKind = f
+        .variant
+        .as_ref()
         .and_then(Json::as_str)
         .ok_or_else(|| proto("missing `variant` (string)"))?
         .parse()
         .map_err(JobError::Protocol)?;
-    let seed = v
-        .get("seed")
+    let seed = f
+        .seed
+        .as_ref()
         .and_then(Json::as_u64)
         .ok_or_else(|| proto("missing `seed` (non-negative integer)"))?;
-
-    let graph = v.get("graph").ok_or_else(|| proto("missing `graph`"))?;
-    let graph_pairs = graph
-        .as_obj()
-        .ok_or_else(|| proto("`graph` must be an object"))?;
-    for (key, _) in graph_pairs {
-        if key != "n" && key != "edges" {
-            return Err(proto(format!("unknown key `graph.{key}`")));
-        }
+    if !f.graph {
+        return Err(proto("missing `graph`"));
     }
-    let n = graph
-        .get("n")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| proto("missing `graph.n` (non-negative integer)"))?;
+    let n =
+        f.n.as_ref()
+            .and_then(Json::as_u64)
+            .ok_or_else(|| proto("missing `graph.n` (non-negative integer)"))?;
     // Same request-size bound as the wire protocol's `# n` check: the
     // body caps *bytes*, but `Graph::new(n)` allocates per declared
     // vertex, so a ~60-byte body must not demand gigabytes.
@@ -942,152 +1066,137 @@ pub fn decode_job_spec(body: &[u8]) -> Result<JobSpec, JobError> {
         )));
     }
     let n = narrow_usize(n, "vertex count")?;
-    let edges = graph
-        .get("edges")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| proto("missing `graph.edges` (array of arrays)"))?;
-    let mut rows: Vec<Vec<u64>> = Vec::with_capacity(edges.len());
-    for (i, edge) in edges.iter().enumerate() {
-        let fields = edge
-            .as_arr()
-            .ok_or_else(|| proto(format!("edge {i} must be an array")))?;
-        let row = fields
-            .iter()
-            .map(Json::as_u64)
-            .collect::<Option<Vec<u64>>>()
-            .ok_or_else(|| proto(format!("edge {i}: fields must be non-negative integers")))?;
-        rows.push(row);
+    if !f.edges {
+        return Err(proto("missing `graph.edges` (array of arrays)"));
     }
-    let bad_graph = |e: gio::ParseGraphError| proto(format!("bad graph: {e}"));
-
-    let id_set = |key: &str, universe: usize| -> Result<EdgeSet, JobError> {
-        let ids = v
-            .get(key)
-            .and_then(Json::as_arr)
-            .ok_or_else(|| proto(format!("missing `{key}` (array of edge ids)")))?;
-        let mut set = EdgeSet::new(universe);
-        for id in ids {
-            let id = id
-                .as_u64()
-                .and_then(|x| usize::try_from(x).ok())
-                .ok_or_else(|| proto(format!("`{key}` ids must be non-negative integers")))?;
-            if id >= universe {
-                return Err(proto(format!(
-                    "{key} id {id} out of range for {universe} edges"
-                )));
-            }
-            set.insert(id);
-        }
-        Ok(set)
-    };
-
-    if !matches!(variant, VariantKind::ClientServer)
-        && (v.get("clients").is_some() || v.get("servers").is_some())
-    {
+    let client_server = variant == VariantKind::ClientServer;
+    if !client_server && (f.clients.is_some() || f.servers.is_some()) {
         return Err(proto(
             "`clients`/`servers` only apply to the client-server variant",
         ));
     }
 
-    let instance = match variant {
-        VariantKind::Undirected => {
-            let (graph, w) = gio::edge_rows_to_graph(n, &rows).map_err(bad_graph)?;
-            if w.is_some() {
-                return Err(proto("undirected variant takes [u, v] edges"));
+    let bad_graph = |e: gio::ParseGraphError| proto(format!("bad graph: {e}"));
+    let mut builder = KeyBuilder::new(n, variant == VariantKind::Directed);
+    let mut start = 0;
+    for (i, &end) in f.row_ends.iter().enumerate() {
+        builder
+            .push_row(i + 1, &f.row_fields[start..end])
+            .map_err(bad_graph)?;
+        start = end;
+    }
+    let edges = builder.finish().map_err(bad_graph)?;
+    let weighted = edges.keys.weights().is_some();
+    match variant {
+        VariantKind::Undirected if weighted => {
+            return Err(proto("undirected variant takes [u, v] edges"))
+        }
+        VariantKind::Weighted if !weighted => {
+            return Err(proto("weighted variant needs [u, v, w] edges"))
+        }
+        VariantKind::ClientServer if weighted => {
+            return Err(proto("client-server variant takes [u, v] edges"))
+        }
+        _ => {}
+    }
+    let roles = if client_server {
+        let m = edges.keys.num_edges();
+        let id_set = |key: &str, ids: Option<&Vec<u64>>| -> Result<EdgeSet, JobError> {
+            let ids = ids.ok_or_else(|| proto(format!("missing `{key}` (array of edge ids)")))?;
+            let mut set = EdgeSet::new(m);
+            for &id in ids {
+                let id = usize::try_from(id)
+                    .map_err(|_| proto(format!("`{key}` ids must be non-negative integers")))?;
+                if id >= m {
+                    return Err(proto(format!("{key} id {id} out of range for {m} edges")));
+                }
+                set.insert(id);
             }
-            VariantInstance::Undirected { graph }
-        }
-        VariantKind::Weighted => {
-            let (graph, w) = gio::edge_rows_to_graph(n, &rows).map_err(bad_graph)?;
-            let weights = w.ok_or_else(|| proto("weighted variant needs [u, v, w] edges"))?;
-            VariantInstance::Weighted { graph, weights }
-        }
-        VariantKind::Directed => {
-            let graph = gio::edge_rows_to_digraph(n, &rows).map_err(bad_graph)?;
-            VariantInstance::Directed { graph }
-        }
-        VariantKind::ClientServer => {
-            let (graph, w) = gio::edge_rows_to_graph(n, &rows).map_err(bad_graph)?;
-            if w.is_some() {
-                return Err(proto("client-server variant takes [u, v] edges"));
-            }
-            let m = graph.num_edges();
-            let clients = id_set("clients", m)?;
-            let servers = id_set("servers", m)?;
-            VariantInstance::ClientServer {
-                graph,
-                clients,
-                servers,
-            }
-        }
+            Ok(set)
+        };
+        Some((
+            id_set("clients", f.clients.as_ref())?,
+            id_set("servers", f.servers.as_ref())?,
+        ))
+    } else {
+        None
     };
 
     let mut config = EngineConfig::seeded(seed);
-    let opt_u64 = |key: &str| -> Result<Option<u64>, JobError> {
-        match v.get(key) {
-            None => Ok(None),
-            Some(x) => x
-                .as_u64()
-                .map(Some)
-                .ok_or_else(|| proto(format!("`{key}` must be a non-negative integer"))),
-        }
+    let opt_u64 = |key: &str, value: &Option<Json>| -> Result<Option<u64>, JobError> {
+        value
+            .as_ref()
+            .map(|x| {
+                x.as_u64()
+                    .ok_or_else(|| proto(format!("`{key}` must be a non-negative integer")))
+            })
+            .transpose()
     };
-    let opt_bool = |key: &str| -> Result<Option<bool>, JobError> {
-        match v.get(key) {
-            None => Ok(None),
-            Some(x) => x
-                .as_bool()
-                .map(Some)
-                .ok_or_else(|| proto(format!("`{key}` must be a boolean"))),
-        }
+    let opt_bool = |key: &str, value: &Option<Json>| -> Result<Option<bool>, JobError> {
+        value
+            .as_ref()
+            .map(|x| {
+                x.as_bool()
+                    .ok_or_else(|| proto(format!("`{key}` must be a boolean")))
+            })
+            .transpose()
     };
-    if let Some(d) = opt_u64("accept_denominator")? {
+    if let Some(d) = opt_u64("accept_denominator", &f.accept_denominator)? {
         config.accept_denominator = d;
     }
-    if let Some(m) = opt_bool("monotone")? {
+    if let Some(m) = opt_bool("monotone", &f.monotone)? {
         config.monotone_stars = m;
     }
-    if let Some(r) = opt_bool("round_densities")? {
+    if let Some(r) = opt_bool("round_densities", &f.round_densities)? {
         config.round_densities = r;
     }
-    if let Some(m) = opt_u64("max_iterations")? {
+    if let Some(m) = opt_u64("max_iterations", &f.max_iterations)? {
         config.max_iterations = m;
     }
-    if let Some(s) = opt_u64("shards")? {
+    if let Some(s) = opt_u64("shards", &f.shards)? {
         // Capped exactly like the wire decoder: a hostile
         // `"shards": 2^63` must not truncate on 32-bit targets.
         config.num_shards = crate::wire::decode_shards(s);
     }
-    let timeout = opt_u64("timeout_ms")?.map(Duration::from_millis);
+    let timeout = opt_u64("timeout_ms", &f.timeout_ms)?.map(Duration::from_millis);
 
-    Ok(JobSpec {
-        instance,
+    Ok(CanonicalJob::new(
+        variant,
+        edges,
+        roles.as_ref().map(|(c, s)| (c, s)),
         config,
         timeout,
-    })
+    ))
 }
 
 /// Encodes a job result as the `POST /v1/jobs` 200 body. Pure function
 /// of the response, so a cache hit is byte-identical to the cold
-/// computation.
+/// computation. Written straight into one buffer: the same bytes
+/// [`Json::encode`] gives for the response's object (variant names
+/// and the hex key need no escaping).
 pub fn encode_job_response(resp: &JobResponse) -> String {
-    Json::Obj(vec![
-        ("key".to_string(), Json::Str(format!("{:016x}", resp.key))),
-        ("variant".to_string(), Json::Str(resp.kind.to_string())),
-        ("converged".to_string(), Json::Bool(resp.converged)),
-        ("iterations".to_string(), Json::U64(resp.iterations)),
-        ("local_rounds".to_string(), Json::U64(resp.local_rounds)),
-        ("star_fallbacks".to_string(), Json::U64(resp.star_fallbacks)),
-        (
-            "spanner_size".to_string(),
-            Json::U64(resp.spanner.len() as u64),
-        ),
-        (
-            "spanner".to_string(),
-            Json::Arr(resp.spanner.iter().map(|&e| Json::U64(e as u64)).collect()),
-        ),
-    ])
-    .encode()
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(160 + 6 * resp.spanner.len());
+    let _ = write!(
+        out,
+        "{{\"key\":\"{:016x}\",\"variant\":\"{}\",\"converged\":{},\"iterations\":{},\
+         \"local_rounds\":{},\"star_fallbacks\":{},\"spanner_size\":{},\"spanner\":[",
+        resp.key,
+        resp.kind,
+        resp.converged,
+        resp.iterations,
+        resp.local_rounds,
+        resp.star_fallbacks,
+        resp.spanner.len(),
+    );
+    for (i, e) in resp.spanner.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{e}");
+    }
+    out.push_str("]}");
+    out
 }
 
 /// Decodes a `POST /v1/jobs` 200 body back into a [`JobResponse`].

@@ -1,26 +1,30 @@
-//! Job specifications, canonicalization, and responses.
+//! Job specifications, canonical jobs, and responses.
 //!
 //! A [`JobSpec`] is one spanner-computation request: a
 //! [`VariantInstance`] in whatever edge order the caller submitted,
 //! plus the [`EngineConfig`] (seed and ablation toggles) and an
-//! optional per-job timeout. Before execution the service rewrites the
-//! spec into *canonical* form — the graph rebuilt with edges in
-//! [`dsa_graphs::canon`] order, weights and client/server sets
-//! permuted to match — and derives the [`CanonicalJob::key`] hash the
-//! cache, the in-flight coalescing table, *and the persistent result
-//! store* ([`crate::store`]) are keyed by. Two submissions of the same
-//! edge set in different orders therefore collapse to one engine run
-//! — in this process lifetime or a previous one — and each caller
-//! still receives spanner edge ids in *its own* id space via
-//! [`JobResponse`]. The key is a hash, never an identity: every
-//! consumer (LRU, coalescing map, disk store) re-verifies the full
-//! canonical instance before serving across it.
+//! optional per-job timeout. Before execution every request becomes a
+//! [`CanonicalJob`]: its edges as sorted, deduplicated
+//! [`dsa_graphs::canon`] keys (with weights or client/server roles),
+//! the permutation back to the caller's edge ids, and the
+//! [`CanonicalJob::key`] hash the cache, the in-flight coalescing
+//! table, *and the persistent result store* ([`crate::store`]) are
+//! keyed by. The HTTP and TCP decoders produce that form straight from
+//! request bytes; [`canonicalize_job`] derives it from an already
+//! built spec. Two submissions of the same edge set in different
+//! orders therefore collapse to one engine run — in this process
+//! lifetime or a previous one — and each caller still receives
+//! spanner edge ids in *its own* id space via [`JobResponse`]. The key
+//! is a hash, never an identity: every consumer (LRU, coalescing map,
+//! disk store) re-verifies the full [`CanonicalInstance`] before
+//! serving across it, and the engine's CSR graph is built from the
+//! keys only when a job actually runs.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use dsa_core::dist::{EngineConfig, SpannerRun, VariantInstance, VariantKind};
-use dsa_graphs::canon::{self, Fnv1a};
+use dsa_graphs::canon::{CanonicalEdges, EdgeKeys, Fnv1a};
 use dsa_graphs::{EdgeId, EdgeSet, EdgeWeights};
 
 /// One spanner-computation request.
@@ -52,17 +56,197 @@ impl JobSpec {
     }
 }
 
-/// A [`JobSpec`] rewritten into canonical edge order, plus what it
-/// takes to answer the original caller.
+/// Role bit of a client edge in [`CanonicalInstance::roles`].
+const CLIENT: u8 = 1;
+/// Role bit of a server edge in [`CanonicalInstance::roles`].
+const SERVER: u8 = 2;
+
+/// A job's instance in canonical form: what the cache, the coalescing
+/// map and the store compare. Equal exactly when the canonical
+/// [`VariantInstance`]s are equal, and built without one.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct CanonicalInstance {
+    kind: VariantKind,
+    /// Sorted, deduplicated edge keys; weighted for the weighted
+    /// variant only.
+    edges: EdgeKeys,
+    /// Client-server only: `CLIENT | SERVER` bits per canonical edge
+    /// (empty for the other variants).
+    roles: Vec<u8>,
+}
+
+impl CanonicalInstance {
+    /// Which variant the instance belongs to.
+    pub fn kind(&self) -> VariantKind {
+        self.kind
+    }
+
+    /// The canonical edge keys.
+    pub fn edges(&self) -> &EdgeKeys {
+        &self.edges
+    }
+
+    /// Canonical ids of the client edges (`server == false`) or the
+    /// server edges, ascending.
+    pub fn role_ids(&self, server: bool) -> impl Iterator<Item = EdgeId> + '_ {
+        let bit = if server { SERVER } else { CLIENT };
+        self.roles
+            .iter()
+            .enumerate()
+            .filter(move |(_, &r)| r & bit != 0)
+            .map(|(e, _)| e)
+    }
+
+    /// The engine's instance with canonical edge `c` at id `ids[c]`.
+    fn assemble(&self, ids: Vec<EdgeId>) -> VariantInstance {
+        let placed = CanonicalEdges {
+            keys: self.edges.clone(),
+            from_canonical: ids,
+        };
+        let roles = |server| {
+            EdgeSet::from_iter(
+                self.edges.num_edges(),
+                self.role_ids(server).map(|c| placed.from_canonical[c]),
+            )
+        };
+        match self.kind {
+            VariantKind::Undirected => VariantInstance::Undirected {
+                graph: placed.submitted_graph(),
+            },
+            VariantKind::Directed => VariantInstance::Directed {
+                graph: placed.submitted_digraph(),
+            },
+            VariantKind::Weighted => VariantInstance::Weighted {
+                graph: placed.submitted_graph(),
+                weights: placed
+                    .submitted_weights()
+                    .unwrap_or_else(|| EdgeWeights::from_vec(Vec::new())),
+            },
+            VariantKind::ClientServer => VariantInstance::ClientServer {
+                graph: placed.submitted_graph(),
+                clients: roles(false),
+                servers: roles(true),
+            },
+        }
+    }
+
+    /// The engine's instance, edges in canonical order. This builds
+    /// the CSR graph, so only a job that runs calls it.
+    pub fn instance(&self) -> VariantInstance {
+        self.assemble((0..self.edges.num_edges()).collect())
+    }
+}
+
+/// A job in canonical form, plus what it takes to answer the caller
+/// who submitted it.
 pub(crate) struct CanonicalJob {
     /// Cache/coalescing key: hash of the canonical instance + config.
     pub key: u64,
-    /// The instance with edges in canonical order.
-    pub instance: VariantInstance,
-    /// Result-relevant engine configuration.
+    /// The instance in canonical form, shared with the cache and the
+    /// in-flight table.
+    pub instance: Arc<CanonicalInstance>,
+    /// The submitted engine configuration.
     pub config: EngineConfig,
     /// `from_canonical[canonical_edge_id] = submitted_edge_id`.
     pub from_canonical: Vec<EdgeId>,
+    /// The submitted deadline.
+    pub timeout: Option<Duration>,
+}
+
+impl CanonicalJob {
+    /// Assembles a canonical job from normalized edges, the client and
+    /// server edge sets in *submitted* id space (client-server only),
+    /// the config and the timeout, and derives its key.
+    pub fn new(
+        kind: VariantKind,
+        edges: CanonicalEdges,
+        roles: Option<(&EdgeSet, &EdgeSet)>,
+        config: EngineConfig,
+        timeout: Option<Duration>,
+    ) -> Self {
+        let CanonicalEdges {
+            keys,
+            from_canonical,
+        } = edges;
+        let roles = match roles {
+            None => Vec::new(),
+            Some((clients, servers)) => {
+                let mut roles = vec![0; from_canonical.len()];
+                for (role, &submitted) in roles.iter_mut().zip(&from_canonical) {
+                    if clients.contains(submitted) {
+                        *role |= CLIENT;
+                    }
+                    if servers.contains(submitted) {
+                        *role |= SERVER;
+                    }
+                }
+                roles
+            }
+        };
+        let instance = CanonicalInstance {
+            kind,
+            edges: keys,
+            roles,
+        };
+        CanonicalJob {
+            key: job_key(&instance, &config),
+            instance: Arc::new(instance),
+            config,
+            from_canonical,
+            timeout,
+        }
+    }
+
+    /// The spec this job was decoded from: the instance in submitted
+    /// edge order (the public decoders' return shape).
+    pub fn to_spec(&self) -> JobSpec {
+        JobSpec {
+            instance: self.instance.assemble(self.from_canonical.clone()),
+            config: self.config.clone(),
+            timeout: self.timeout,
+        }
+    }
+}
+
+/// The cache key: FNV-1a over the canonical instance (its canonical
+/// graph hash, then for client-server the client and server id lists)
+/// and the result-relevant config. `num_shards` and `cancel` stay out:
+/// execution policy, not result.
+fn job_key(instance: &CanonicalInstance, config: &EngineConfig) -> u64 {
+    let mut hasher = Fnv1a::new();
+    hasher.write_bytes(b"dsa-service-job-v1");
+    hasher.write_u64(instance.edges.hash());
+    if instance.kind == VariantKind::ClientServer {
+        for server in [false, true] {
+            hasher.write_usize(instance.role_ids(server).count());
+            for e in instance.role_ids(server) {
+                hasher.write_usize(e);
+            }
+        }
+    }
+    hasher.write_u64(match instance.kind {
+        VariantKind::Undirected => 1,
+        VariantKind::Directed => 2,
+        VariantKind::Weighted => 3,
+        VariantKind::ClientServer => 4,
+    });
+    hasher.write_u64(config.seed);
+    hasher.write_u64(config.accept_denominator);
+    hasher.write_u64(u64::from(config.monotone_stars));
+    hasher.write_u64(u64::from(config.round_densities));
+    hasher.write_u64(config.max_iterations);
+    hasher.finish()
+}
+
+/// Checks the config the engine cannot run with. Decoders leave this
+/// to submission, so it is a 422 on HTTP, not a 400.
+pub(crate) fn validate_config(config: &EngineConfig) -> Result<(), JobError> {
+    if config.accept_denominator == 0 {
+        return Err(JobError::Invalid(
+            "accept denominator must be positive".into(),
+        ));
+    }
+    Ok(())
 }
 
 /// Why a job failed. Execution itself cannot fail (the engine is
@@ -160,99 +344,32 @@ impl JobResponse {
     }
 }
 
-/// Permutes an id-indexed edge set into canonical id space.
-fn remap_set(set: &EdgeSet, to_canonical: &[EdgeId]) -> EdgeSet {
-    EdgeSet::from_iter(set.universe(), set.iter().map(|e| to_canonical[e]))
-}
-
-/// Validates `spec` and rewrites it into canonical form.
+/// Validates `spec` and rewrites it into canonical form (the adapter
+/// behind [`crate::Service::submit`]).
 pub(crate) fn canonicalize_job(spec: &JobSpec) -> Result<CanonicalJob, JobError> {
     spec.instance.validate().map_err(JobError::Invalid)?;
-    if spec.config.accept_denominator == 0 {
-        return Err(JobError::Invalid(
-            "accept denominator must be positive".into(),
-        ));
-    }
-
-    let mut hasher = Fnv1a::new();
-    hasher.write_bytes(b"dsa-service-job-v1");
-    let (instance, from_canonical) = match &spec.instance {
-        VariantInstance::Undirected { graph } => {
-            let c = canon::canonicalize(graph);
-            hasher.write_u64(canon::graph_hash(&c.graph));
-            (
-                VariantInstance::Undirected { graph: c.graph },
-                c.from_canonical,
-            )
-        }
-        VariantInstance::Directed { graph } => {
-            let c = canon::canonicalize_digraph(graph);
-            hasher.write_u64(canon::digraph_hash(&c.graph));
-            (
-                VariantInstance::Directed { graph: c.graph },
-                c.from_canonical,
-            )
-        }
+    let (edges, roles) = match &spec.instance {
+        VariantInstance::Undirected { graph } => (CanonicalEdges::of_graph(graph, None), None),
+        VariantInstance::Directed { graph } => (CanonicalEdges::of_digraph(graph), None),
         VariantInstance::Weighted { graph, weights } => {
-            let c = canon::canonicalize(graph);
-            let weights = EdgeWeights::from_fn(graph.num_edges(), |canonical| {
-                weights.get(c.from_canonical[canonical])
-            });
-            hasher.write_u64(canon::weighted_graph_hash(&c.graph, &weights));
-            (
-                VariantInstance::Weighted {
-                    graph: c.graph,
-                    weights,
-                },
-                c.from_canonical,
-            )
+            (CanonicalEdges::of_graph(graph, Some(weights)), None)
         }
         VariantInstance::ClientServer {
             graph,
             clients,
             servers,
-        } => {
-            let c = canon::canonicalize(graph);
-            let clients = remap_set(clients, &c.to_canonical);
-            let servers = remap_set(servers, &c.to_canonical);
-            hasher.write_u64(canon::graph_hash(&c.graph));
-            for set in [&clients, &servers] {
-                hasher.write_usize(set.len());
-                for e in set.iter() {
-                    hasher.write_usize(e);
-                }
-            }
-            (
-                VariantInstance::ClientServer {
-                    graph: c.graph,
-                    clients,
-                    servers,
-                },
-                c.from_canonical,
-            )
-        }
+        } => (
+            CanonicalEdges::of_graph(graph, None),
+            Some((clients, servers)),
+        ),
     };
-
-    // Variant discriminant and result-relevant engine configuration
-    // (num_shards and cancel stay out: execution policy, not result).
-    hasher.write_u64(match instance.kind() {
-        VariantKind::Undirected => 1,
-        VariantKind::Directed => 2,
-        VariantKind::Weighted => 3,
-        VariantKind::ClientServer => 4,
-    });
-    hasher.write_u64(spec.config.seed);
-    hasher.write_u64(spec.config.accept_denominator);
-    hasher.write_u64(u64::from(spec.config.monotone_stars));
-    hasher.write_u64(u64::from(spec.config.round_densities));
-    hasher.write_u64(spec.config.max_iterations);
-
-    Ok(CanonicalJob {
-        key: hasher.finish(),
-        instance,
-        config: spec.config.clone(),
-        from_canonical,
-    })
+    Ok(CanonicalJob::new(
+        spec.instance.kind(),
+        edges,
+        roles,
+        spec.config.clone(),
+        spec.timeout,
+    ))
 }
 
 #[cfg(test)]
@@ -321,7 +438,7 @@ mod tests {
     fn from_canonical_translates_ids() {
         let spec = spec_of(&[(2, 3), (0, 1), (1, 2)], 0);
         let job = canonicalize_job(&spec).unwrap();
-        let VariantInstance::Undirected { graph: c } = &job.instance else {
+        let VariantInstance::Undirected { graph: c } = &job.instance.instance() else {
             panic!("kind changed");
         };
         let VariantInstance::Undirected { graph: g } = &spec.instance else {

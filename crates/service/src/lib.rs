@@ -57,6 +57,8 @@ pub mod http;
 mod job;
 mod metrics;
 mod net;
+#[cfg(test)]
+mod oracle;
 mod pool;
 pub mod retry;
 pub mod server;

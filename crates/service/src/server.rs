@@ -9,14 +9,14 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use crate::graphs::GraphError;
-use crate::job::JobError;
+use crate::job::{JobError, JobResponse};
 use crate::net::{ListenerHandle, ShutdownReader, IDLE_POLL};
 use crate::service::{Service, ServiceConfig};
 use crate::wire::{
-    decode_request, encode_busy_response, encode_error_response, encode_graph_created,
+    decode_frame, encode_busy_response, encode_error_response, encode_graph_created,
     encode_graph_deleted, encode_graph_meta, encode_graph_patched, encode_graph_spanner_response,
     encode_hello_response, encode_pong_response, encode_run_response, encode_stats_response,
-    read_frame, write_frame, Request, PROTO_VERSION,
+    read_frame, write_frame, Frame, Request, PROTO_VERSION,
 };
 
 /// A running `spanner-serve` wire frontend. Dropping it (or calling
@@ -121,7 +121,17 @@ fn handle_request(payload: &[u8], service: &Arc<Service>) -> String {
         }
         Err(e) => encode_error_response(&e.to_string()),
     };
-    match decode_request(payload) {
+    let run_reply = |result: Result<JobResponse, JobError>| match result {
+        Ok(resp) => encode_run_response(&resp),
+        Err(JobError::Busy { retry_after_ms }) => encode_busy_response(retry_after_ms),
+        Err(e) => encode_error_response(&e.to_string()),
+    };
+    let request = match decode_frame(payload) {
+        Ok(Frame::Run(job)) => return run_reply(service.run_canonical(*job)),
+        Ok(Frame::Other(request)) => Ok(request),
+        Err(e) => Err(e),
+    };
+    match request {
         Ok(Request::Ping) => encode_pong_response(),
         Ok(Request::Stats) => encode_stats_response(&service.metrics().to_json()),
         Ok(Request::Hello { proto }) => {
@@ -135,11 +145,7 @@ fn handle_request(payload: &[u8], service: &Arc<Service>) -> String {
                 encode_hello_response(proto, &[])
             }
         }
-        Ok(Request::Run(spec)) => match service.run(&spec) {
-            Ok(resp) => encode_run_response(&resp),
-            Err(JobError::Busy { retry_after_ms }) => encode_busy_response(retry_after_ms),
-            Err(e) => encode_error_response(&e.to_string()),
-        },
+        Ok(Request::Run(spec)) => run_reply(service.run(&spec)),
         Ok(Request::GraphCreate(spec)) => graph_result(
             service
                 .graph_create(*spec)

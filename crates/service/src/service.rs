@@ -3,8 +3,11 @@
 //!
 //! Life of a submission:
 //!
-//! 1. the [`JobSpec`] is validated and rewritten into canonical edge
-//!    order, yielding the 64-bit job key ([`crate::job`]);
+//! 1. the job arrives in canonical form — sorted edge keys, decoded
+//!    straight from request bytes by the HTTP and TCP frontends, or
+//!    derived from a [`JobSpec`] by [`Service::submit`] — with its
+//!    64-bit job key ([`crate::job`]); the engine's graph is built from
+//!    the keys only if the job runs (step 5);
 //! 2. under the cache lock, a key already computed is answered
 //!    immediately (**cache hit** — no engine work, no queueing);
 //! 3. still under the cache lock, a configured persistent store
@@ -65,7 +68,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
-use dsa_core::dist::{run_variant_timed, EngineConfig, SpannerRun, VariantInstance, VariantKind};
+use dsa_core::dist::{run_variant_timed, EngineConfig, SpannerRun, VariantKind};
 use dsa_graphs::EdgeId;
 use dsa_runtime::obs;
 use dsa_runtime::sync::OrderedMutex;
@@ -76,7 +79,10 @@ use crate::graphs::{
     DeltaOp, GraphCreated, GraphError, GraphMeta, GraphPatched, GraphRegistry, GraphSpannerResult,
     GraphSpec,
 };
-use crate::job::{canonicalize_job, JobError, JobResponse, JobSpec};
+use crate::job::{
+    canonicalize_job, validate_config, CanonicalInstance, CanonicalJob, JobError, JobResponse,
+    JobSpec,
+};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::pool::Pool;
 use crate::store::{verification_bytes, Store};
@@ -164,19 +170,20 @@ fn config_sig(cfg: &EngineConfig) -> ConfigSig {
 /// admission byte budget ([`ServiceConfig::queue_byte_budget`]): the
 /// canonical instance (CSR adjacency + per-edge payload) dominates a
 /// queued closure's retained memory.
-fn job_cost(instance: &VariantInstance) -> usize {
-    256 + instance.num_vertices() * 8 + instance.num_edges() * 24
+fn job_cost(instance: &CanonicalInstance) -> usize {
+    let edges = instance.edges();
+    256 + edges.num_vertices() * 8 + edges.num_edges() * 24
 }
 
 /// One in-flight engine run, shared by every coalesced waiter.
 ///
 /// The canonical instance and config signature live here both so the
-/// worker can execute the run and so joins can *verify* identity: the
-/// 64-bit key is a hash, and an (adversarially constructible) FNV
-/// collision must degrade to a duplicate computation, never to
-/// another job's result.
+/// worker can execute the run (building the engine's graph from the
+/// keys only then) and so joins can *verify* identity: the 64-bit key
+/// is a hash, and an (adversarially constructible) FNV collision must
+/// degrade to a duplicate computation, never to another job's result.
 struct Inflight {
-    instance: VariantInstance,
+    instance: Arc<CanonicalInstance>,
     config_sig: ConfigSig,
     state: OrderedMutex<InflightState>,
     done: Condvar,
@@ -201,7 +208,7 @@ struct InflightState {
 /// on every hit (see [`Inflight`] on why the hash alone is not
 /// identity).
 struct CachedResult {
-    instance: VariantInstance,
+    instance: Arc<CanonicalInstance>,
     config_sig: ConfigSig,
     run: Arc<SpannerRun>,
 }
@@ -440,28 +447,44 @@ impl Service {
     /// Submits a job and returns a handle to its (possibly shared)
     /// result.
     pub fn submit(&self, spec: &JobSpec) -> Result<JobHandle, JobError> {
-        let job = match canonicalize_job(spec) {
-            Ok(job) => job,
+        match canonicalize_job(spec) {
+            Ok(job) => self.submit_canonical(job),
             Err(e) => {
                 self.shared.metrics.on_invalid();
-                return Err(e);
+                Err(e)
             }
-        };
-        let kind = job.instance.kind();
+        }
+    }
+
+    /// Submits a job already in canonical form: the path both servers
+    /// take straight from request bytes.
+    pub(crate) fn submit_canonical(&self, job: CanonicalJob) -> Result<JobHandle, JobError> {
+        if let Err(e) = validate_config(&job.config) {
+            self.shared.metrics.on_invalid();
+            return Err(e);
+        }
+        let CanonicalJob {
+            key,
+            instance,
+            config,
+            from_canonical,
+            timeout,
+        } = job;
+        let kind = instance.kind();
         let trace_id = obs::next_trace_id();
         self.shared.flight.event(
             trace_id,
             "job.submitted",
             vec![
-                ("key".to_string(), format!("{:016x}", job.key)),
+                ("key".to_string(), format!("{key:016x}")),
                 ("kind".to_string(), kind.to_string()),
             ],
         );
         let handle_base = |source| JobHandle {
-            key: job.key,
+            key,
             kind,
-            from_canonical: job.from_canonical.clone(),
-            timeout: spec.timeout.or(self.default_timeout),
+            from_canonical,
+            timeout: timeout.or(self.default_timeout),
             shared: Arc::clone(&self.shared),
             trace_id,
             source,
@@ -474,10 +497,10 @@ impl Service {
         // the cache. Every hash-keyed lookup is verified against the
         // canonical instance + config, so a 64-bit key collision costs
         // a duplicate computation instead of cross-serving results.
-        let sig = config_sig(&job.config);
+        let sig = config_sig(&config);
         let mut cache = self.shared.cache.lock();
-        if let Some(v) = cache.get(job.key) {
-            if v.instance == job.instance && v.config_sig == sig {
+        if let Some(v) = cache.get(key) {
+            if v.instance == instance && v.config_sig == sig {
                 self.shared.metrics.on_cache_hit();
                 self.shared.flight.event(trace_id, "job.cache_hit", vec![]);
                 return Ok(handle_base(HandleSource::Ready(Arc::clone(&v.run))));
@@ -500,10 +523,10 @@ impl Service {
             .filter(|_| self.shared.store_ok.load(Ordering::SeqCst))
         {
             let mut store = store.lock();
-            let hit = if store.contains(job.key) {
+            let hit = if store.contains(key) {
                 let t_read = Instant::now();
-                let verification = verification_bytes(&job.instance, &job.config);
-                let hit = store.get(job.key, &verification);
+                let verification = verification_bytes(&instance, &config);
+                let hit = store.get(key, &verification);
                 self.shared.metrics.on_store_read(t_read.elapsed());
                 hit
             } else {
@@ -513,9 +536,9 @@ impl Service {
             if let Some(run) = hit {
                 let run = Arc::new(run);
                 cache.insert(
-                    job.key,
+                    key,
                     CachedResult {
-                        instance: job.instance.clone(),
+                        instance: Arc::clone(&instance),
                         config_sig: sig,
                         run: Arc::clone(&run),
                     },
@@ -533,8 +556,8 @@ impl Service {
         // displaces it in the map, and the doomed run's retirement is
         // pointer-checked so it never removes its successor.
         let mut tracked = true;
-        if let Some(entry) = inflight.get(&job.key).cloned() {
-            if entry.instance == job.instance && entry.config_sig == sig {
+        if let Some(entry) = inflight.get(&key).cloned() {
+            if entry.instance == instance && entry.config_sig == sig {
                 if !entry.abort.load(Ordering::SeqCst) {
                     entry.waiters.fetch_add(1, Ordering::SeqCst);
                     self.shared.metrics.on_coalesced();
@@ -546,7 +569,7 @@ impl Service {
             }
         }
         let entry = Arc::new(Inflight {
-            instance: job.instance,
+            instance,
             config_sig: sig,
             state: OrderedMutex::new("inflight_state", 70, InflightState::default()),
             done: Condvar::new(),
@@ -555,8 +578,7 @@ impl Service {
         });
         let shared = Arc::clone(&self.shared);
         let fault = Arc::clone(&self.fault);
-        let key = job.key;
-        let mut config = job.config;
+        let mut config = config;
         // Execution policy: the run aborts cooperatively when the
         // entry's abort flag is raised, and the operator's shard
         // override (if any) replaces the spec's request. Neither field
@@ -612,8 +634,10 @@ impl Service {
                 if fault.fire("engine.abort") {
                     entry.abort.store(true, Ordering::SeqCst);
                 }
+                // A miss is the one place the engine's graph is built.
+                let instance = entry.instance.instance();
                 let t0 = Instant::now();
-                let (run, phases) = run_variant_timed(&entry.instance, &config);
+                let (run, phases) = run_variant_timed(&instance, &config);
                 let run = Arc::new(run);
                 if run.cancelled {
                     // Mid-flight abort: every waiter is gone (the flag is
@@ -655,7 +679,7 @@ impl Service {
                 cache.insert(
                     key,
                     CachedResult {
-                        instance: entry.instance.clone(),
+                        instance: Arc::clone(&entry.instance),
                         config_sig: entry.config_sig,
                         run: Arc::clone(&run),
                     },
@@ -724,7 +748,7 @@ impl Service {
             return Err(JobError::Busy { retry_after_ms });
         }
         if tracked {
-            inflight.insert(job.key, Arc::clone(&entry));
+            inflight.insert(key, Arc::clone(&entry));
         }
         self.shared.metrics.on_cache_miss();
         self.shared.flight.event(trace_id, "job.queued", vec![]);
@@ -747,6 +771,11 @@ impl Service {
     /// Submit-and-wait convenience.
     pub fn run(&self, spec: &JobSpec) -> Result<JobResponse, JobError> {
         self.submit(spec)?.wait()
+    }
+
+    /// [`Service::run`] for a job already in canonical form.
+    pub(crate) fn run_canonical(&self, job: CanonicalJob) -> Result<JobResponse, JobError> {
+        self.submit_canonical(job)?.wait()
     }
 
     /// A point-in-time view of the service counters, with the queue

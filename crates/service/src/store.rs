@@ -79,12 +79,12 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use dsa_core::dist::{EngineConfig, IterationStats, SpannerRun, VariantInstance};
+use dsa_core::dist::{EngineConfig, IterationStats, SpannerRun};
 use dsa_graphs::canon::Fnv1a;
 use dsa_graphs::EdgeSet;
 use dsa_runtime::{obs, FaultInjector};
 
-use crate::job::{canonicalize_job, JobSpec};
+use crate::job::CanonicalInstance;
 use crate::wire;
 
 /// File-format magic: identifies a v1 result log.
@@ -108,26 +108,18 @@ const MAX_PAYLOAD: usize = 2 * wire::MAX_FRAME;
 /// rendering of the canonical instance plus the result-relevant engine
 /// config, with execution policy (shard count, cancel flag) and the
 /// timeout normalized away so equal cache identities map to equal
-/// bytes.
-pub(crate) fn verification_bytes(instance: &VariantInstance, config: &EngineConfig) -> Vec<u8> {
-    let mut config = config.clone();
-    config.num_shards = 1;
-    config.cancel = None;
-    let spec = JobSpec {
-        instance: instance.clone(),
-        config,
-        timeout: None,
-    };
-    wire::encode_request(&spec).into_bytes()
+/// bytes. Rendered from the canonical keys; no instance is built.
+pub(crate) fn verification_bytes(instance: &CanonicalInstance, config: &EngineConfig) -> Vec<u8> {
+    wire::encode_canonical_request(instance, config).into_bytes()
 }
 
 /// One record decoded far enough to warm the in-memory cache.
 pub(crate) struct WarmRecord {
-    /// The canonical job key (verified against the re-canonicalized
-    /// spec at decode time).
+    /// The canonical job key (verified against the re-decoded spec at
+    /// decode time).
     pub key: u64,
     /// The canonical instance the result answers.
-    pub instance: VariantInstance,
+    pub instance: Arc<CanonicalInstance>,
     /// The result-relevant engine config.
     pub config: EngineConfig,
     /// The stored run.
@@ -500,14 +492,12 @@ impl Store {
             let Some(record) = decode_payload(&payload) else {
                 continue;
             };
-            // Re-canonicalize the stored spec instead of trusting it:
-            // this re-runs validation and proves key and identity
-            // still agree (a record that fails is skipped, exactly
-            // like a corrupt one).
-            let Ok(wire::Request::Run(spec)) = wire::decode_request(&record.spec) else {
-                continue;
-            };
-            let Ok(job) = canonicalize_job(&spec) else {
+            // Re-decode the stored spec instead of trusting it, through
+            // the same decoder `run` frames take: this re-runs
+            // validation and proves key and identity still agree (a
+            // record that fails is skipped, exactly like a corrupt
+            // one).
+            let Ok(wire::Frame::Run(job)) = wire::decode_frame(&record.spec) else {
                 continue;
             };
             if job.key != key {
@@ -686,7 +676,8 @@ impl Cursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsa_core::dist::run_variant;
+    use crate::job::{canonicalize_job, JobSpec};
+    use dsa_core::dist::{run_variant, VariantInstance};
     use dsa_graphs::Graph;
 
     fn test_dir(tag: &str) -> PathBuf {
@@ -703,7 +694,7 @@ mod tests {
             seed,
         );
         let job = canonicalize_job(&spec).unwrap();
-        let run = run_variant(&job.instance, &job.config);
+        let run = run_variant(&job.instance.instance(), &job.config);
         let verification = verification_bytes(&job.instance, &job.config);
         (job.key, verification, run)
     }

@@ -59,17 +59,18 @@
 //! cache identity, and may be overridden by the server's `--shards`
 //! flag.
 
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::time::Duration;
 
 use dsa_core::dist::{EngineConfig, VariantInstance, VariantKind};
-use dsa_graphs::{io as gio, EdgeSet};
+use dsa_graphs::{io as gio, EdgeId, EdgeSet};
 
 use crate::graphs::{
     valid_graph_id, DeltaOp, EdgeRole, GraphCreated, GraphMeta, GraphPatched, GraphSpannerResult,
     GraphSpec,
 };
-use crate::job::{JobError, JobResponse, JobSpec};
+use crate::job::{CanonicalInstance, CanonicalJob, JobError, JobResponse, JobSpec};
 
 /// Upper bound on a frame payload (64 MiB): a million-edge graph fits
 /// with a wide margin, while a corrupt length prefix cannot trigger an
@@ -247,6 +248,49 @@ pub fn encode_request(spec: &JobSpec) -> String {
     format!("run v1\n{}", encode_run_body(spec))
 }
 
+/// Writes the header lines of a run body: variant, config, and the
+/// optional `shards` and `timeout-ms` lines.
+fn write_run_header(
+    out: &mut String,
+    kind: VariantKind,
+    config: &EngineConfig,
+    timeout: Option<Duration>,
+) {
+    let _ = write!(
+        out,
+        "variant {kind}\nseed {}\naccept-denominator {}\nmonotone {}\nround-densities {}\n\
+         max-iterations {}\n",
+        config.seed,
+        config.accept_denominator,
+        u8::from(config.monotone_stars),
+        u8::from(config.round_densities),
+        config.max_iterations,
+    );
+    if config.num_shards != 1 {
+        let _ = writeln!(out, "shards {}", config.num_shards);
+    }
+    if let Some(t) = timeout {
+        // Saturating: `as_millis` is u128 and a pathological Duration
+        // (Duration::MAX is ~5.8e14 years) must encode as "wait
+        // practically forever", not wrap into a short deadline — and
+        // the value must stay parseable by the u64 decoder.
+        let _ = writeln!(out, "timeout-ms {}", saturating_millis(t));
+    }
+}
+
+/// Writes a `clients` or `servers` line.
+fn write_id_line(out: &mut String, name: &str, ids: impl Iterator<Item = EdgeId>) {
+    out.push_str(name);
+    out.push(' ');
+    for (i, e) in ids.enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        let _ = write!(out, "{e}");
+    }
+    out.push('\n');
+}
+
 /// Encodes the body of a `run v1` payload (everything after the
 /// command line). Shared with `graph-create v2`, whose body after the
 /// `id` line is exactly a run body — sharing the builder (instead of
@@ -254,32 +298,7 @@ pub fn encode_request(spec: &JobSpec) -> String {
 /// relationship structural rather than an assertable invariant.
 fn encode_run_body(spec: &JobSpec) -> String {
     let mut out = String::new();
-    let kind = spec.instance.kind();
-    out.push_str(&format!("variant {kind}\n"));
-    out.push_str(&format!("seed {}\n", spec.config.seed));
-    out.push_str(&format!(
-        "accept-denominator {}\n",
-        spec.config.accept_denominator
-    ));
-    out.push_str(&format!(
-        "monotone {}\n",
-        u8::from(spec.config.monotone_stars)
-    ));
-    out.push_str(&format!(
-        "round-densities {}\n",
-        u8::from(spec.config.round_densities)
-    ));
-    out.push_str(&format!("max-iterations {}\n", spec.config.max_iterations));
-    if spec.config.num_shards != 1 {
-        out.push_str(&format!("shards {}\n", spec.config.num_shards));
-    }
-    if let Some(t) = spec.timeout {
-        // Saturating: `as_millis` is u128 and a pathological Duration
-        // (Duration::MAX is ~5.8e14 years) must encode as "wait
-        // practically forever", not wrap into a short deadline — and
-        // the value must stay parseable by the u64 decoder.
-        out.push_str(&format!("timeout-ms {}\n", saturating_millis(t)));
-    }
+    write_run_header(&mut out, spec.instance.kind(), &spec.config, spec.timeout);
     let graph_text = match &spec.instance {
         VariantInstance::Undirected { graph } => gio::to_edge_list(graph, None),
         VariantInstance::Weighted { graph, weights } => gio::to_edge_list(graph, Some(weights)),
@@ -289,19 +308,40 @@ fn encode_run_body(spec: &JobSpec) -> String {
             clients,
             servers,
         } => {
-            let ids = |s: &EdgeSet| {
-                s.iter()
-                    .map(|e| e.to_string())
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            };
-            out.push_str(&format!("clients {}\n", ids(clients)));
-            out.push_str(&format!("servers {}\n", ids(servers)));
+            write_id_line(&mut out, "clients", clients.iter());
+            write_id_line(&mut out, "servers", servers.iter());
             gio::to_edge_list(graph, None)
         }
     };
     out.push_str("graph\n");
     out.push_str(&graph_text);
+    out
+}
+
+/// The `run v1` payload of a canonical instance under `config`, with
+/// no `shards` or `timeout-ms` line: byte-identical to
+/// [`encode_request`] of the spec holding the canonical instance with
+/// one shard and no timeout, rendered from the keys without building
+/// that spec. These are the store's verification bytes.
+pub(crate) fn encode_canonical_request(
+    instance: &CanonicalInstance,
+    config: &EngineConfig,
+) -> String {
+    let edges = instance.edges();
+    let mut out = String::with_capacity(160 + 12 * edges.num_edges());
+    out.push_str("run v1\n");
+    let policy_free = EngineConfig {
+        num_shards: 1,
+        cancel: None,
+        ..config.clone()
+    };
+    write_run_header(&mut out, instance.kind(), &policy_free, None);
+    if instance.kind() == VariantKind::ClientServer {
+        write_id_line(&mut out, "clients", instance.role_ids(false));
+        write_id_line(&mut out, "servers", instance.role_ids(true));
+    }
+    out.push_str("graph\n");
+    gio::write_keys(&mut out, edges);
     out
 }
 
@@ -396,32 +436,50 @@ pub fn encode_graph_delete(id: &str) -> String {
 
 /// Decodes a request payload.
 pub fn decode_request(payload: &[u8]) -> Result<Request, JobError> {
+    Ok(match decode_frame(payload)? {
+        Frame::Run(job) => Request::Run(Box::new(job.to_spec())),
+        Frame::Other(request) => request,
+    })
+}
+
+/// A decoded request frame as the server consumes it: `run` frames
+/// stay in canonical form, so a cache hit never builds a graph.
+pub(crate) enum Frame {
+    /// A `run v1` job.
+    Run(Box<CanonicalJob>),
+    /// Any other request.
+    Other(Request),
+}
+
+/// Decodes one request payload (the form behind [`decode_request`]).
+pub(crate) fn decode_frame(payload: &[u8]) -> Result<Frame, JobError> {
     let text = std::str::from_utf8(payload)
         .map_err(|_| JobError::Protocol("request is not UTF-8".into()))?;
     let (head, rest) = text.split_once('\n').unwrap_or((text, ""));
-    match head.trim_end() {
-        "run v1" => decode_run_request(rest),
-        "stats v1" => Ok(Request::Stats),
-        "ping v1" => Ok(Request::Ping),
-        "graph-create v2" => decode_graph_create_request(rest),
-        "graph-patch v2" => decode_graph_patch_request(rest),
-        "graph-get v2" => decode_graph_id_request(rest, |id| Request::GraphGet { id }),
-        "graph-spanner v2" => decode_graph_id_request(rest, |id| Request::GraphSpanner { id }),
-        "graph-delete v2" => decode_graph_id_request(rest, |id| Request::GraphDelete { id }),
+    let request = match head.trim_end() {
+        "run v1" => return Ok(Frame::Run(Box::new(decode_run_job(rest)?))),
+        "stats v1" => Request::Stats,
+        "ping v1" => Request::Ping,
+        "graph-create v2" => decode_graph_create_request(rest)?,
+        "graph-patch v2" => decode_graph_patch_request(rest)?,
+        "graph-get v2" => decode_graph_id_request(rest, |id| Request::GraphGet { id })?,
+        "graph-spanner v2" => decode_graph_id_request(rest, |id| Request::GraphSpanner { id })?,
+        "graph-delete v2" => decode_graph_id_request(rest, |id| Request::GraphDelete { id })?,
         other => {
-            if let Some(version) = other.strip_prefix("hello v") {
-                let proto = parse_u64(version, "hello protocol version")?;
-                if proto == 0 {
-                    return Err(JobError::Protocol("protocol versions start at 1".into()));
-                }
-                return Ok(Request::Hello { proto });
+            let Some(version) = other.strip_prefix("hello v") else {
+                return Err(JobError::Protocol(format!(
+                    "unknown command `{other}` (expected `hello vN`, `run v1`, `stats v1`, \
+                     `ping v1`, or a `graph-create|patch|get|spanner|delete v2` frame)"
+                )));
+            };
+            let proto = parse_u64(version, "hello protocol version")?;
+            if proto == 0 {
+                return Err(JobError::Protocol("protocol versions start at 1".into()));
             }
-            Err(JobError::Protocol(format!(
-                "unknown command `{other}` (expected `hello vN`, `run v1`, `stats v1`, \
-                 `ping v1`, or a `graph-create|patch|get|spanner|delete v2` frame)"
-            )))
+            Request::Hello { proto }
         }
-    }
+    };
+    Ok(Frame::Other(request))
 }
 
 /// Parses an `id <name>` line, validating the graph-id alphabet.
@@ -559,13 +617,27 @@ fn decode_graph_id_request(
     Ok(build(decode_id_line(id_line)?))
 }
 
-fn decode_run_request(body: &str) -> Result<Request, JobError> {
-    Ok(Request::Run(decode_run_spec(body)?))
+/// Decodes a run-v1 body into its job spec (shared by `run v1` and
+/// `graph-create v2`, which embeds the same body after its `id` line):
+/// the adapter over [`decode_run_job`] that rebuilds the instance in
+/// submitted edge order.
+fn decode_run_spec(body: &str) -> Result<Box<JobSpec>, JobError> {
+    decode_run_job(body).map(|job| Box::new(job.to_spec()))
 }
 
-/// Decodes a run-v1 body into its job spec (shared by `run v1` and
-/// `graph-create v2`, which embeds the same body after its `id` line).
-fn decode_run_spec(body: &str) -> Result<Box<JobSpec>, JobError> {
+/// The header lines of a run-v1 body, and the graph section after
+/// them.
+pub(crate) struct RunHeaders<'a> {
+    pub variant: VariantKind,
+    pub config: EngineConfig,
+    pub timeout: Option<Duration>,
+    pub clients: Option<String>,
+    pub servers: Option<String>,
+    pub graph: &'a str,
+}
+
+/// Parses the header lines of a run-v1 body up to its `graph` line.
+pub(crate) fn parse_run_headers(body: &str) -> Result<RunHeaders<'_>, JobError> {
     let mut variant: Option<VariantKind> = None;
     let mut seed: Option<u64> = None;
     let mut accept_denominator: Option<u64> = None;
@@ -574,16 +646,16 @@ fn decode_run_spec(body: &str) -> Result<Box<JobSpec>, JobError> {
     let mut max_iterations: Option<u64> = None;
     let mut shards: Option<usize> = None;
     let mut timeout: Option<Duration> = None;
-    let mut clients_line: Option<String> = None;
-    let mut servers_line: Option<String> = None;
-    let mut graph_text: Option<&str> = None;
+    let mut clients: Option<String> = None;
+    let mut servers: Option<String> = None;
+    let mut graph: Option<&str> = None;
 
     let mut rest = body;
     while !rest.is_empty() {
         let (line, tail) = rest.split_once('\n').unwrap_or((rest, ""));
         let line_trimmed = line.trim();
         if line_trimmed == "graph" {
-            graph_text = Some(tail);
+            graph = Some(tail);
             break;
         }
         rest = tail;
@@ -605,70 +677,16 @@ fn decode_run_spec(body: &str) -> Result<Box<JobSpec>, JobError> {
             "max-iterations" => max_iterations = Some(parse_u64(value, "max-iterations")?),
             "shards" => shards = Some(decode_shards(parse_u64(value, "shards")?)),
             "timeout-ms" => timeout = Some(Duration::from_millis(parse_u64(value, "timeout-ms")?)),
-            "clients" => clients_line = Some(value.to_string()),
-            "servers" => servers_line = Some(value.to_string()),
+            "clients" => clients = Some(value.to_string()),
+            "servers" => servers = Some(value.to_string()),
             other => return Err(JobError::Protocol(format!("unknown header `{other}`"))),
         }
     }
 
     let variant = variant.ok_or_else(|| JobError::Protocol("missing `variant` header".into()))?;
     let seed = seed.ok_or_else(|| JobError::Protocol("missing `seed` header".into()))?;
-    let graph_text =
-        graph_text.ok_or_else(|| JobError::Protocol("missing `graph` section".into()))?;
-    check_declared_vertices(graph_text)?;
-
-    let instance = match variant {
-        VariantKind::Undirected => {
-            let (graph, w) = gio::parse_edge_list(graph_text)
-                .map_err(|e| JobError::Protocol(format!("bad graph: {e}")))?;
-            if w.is_some() {
-                return Err(JobError::Protocol(
-                    "undirected variant takes an unweighted edge list".into(),
-                ));
-            }
-            VariantInstance::Undirected { graph }
-        }
-        VariantKind::Weighted => {
-            let (graph, w) = gio::parse_edge_list(graph_text)
-                .map_err(|e| JobError::Protocol(format!("bad graph: {e}")))?;
-            let weights = w.ok_or_else(|| {
-                JobError::Protocol("weighted variant needs `u v w` edge lines".into())
-            })?;
-            VariantInstance::Weighted { graph, weights }
-        }
-        VariantKind::Directed => {
-            let graph = gio::parse_directed_edge_list(graph_text)
-                .map_err(|e| JobError::Protocol(format!("bad graph: {e}")))?;
-            VariantInstance::Directed { graph }
-        }
-        VariantKind::ClientServer => {
-            let (graph, w) = gio::parse_edge_list(graph_text)
-                .map_err(|e| JobError::Protocol(format!("bad graph: {e}")))?;
-            if w.is_some() {
-                return Err(JobError::Protocol(
-                    "client-server variant takes an unweighted edge list".into(),
-                ));
-            }
-            let m = graph.num_edges();
-            let clients = parse_id_list(
-                &clients_line
-                    .ok_or_else(|| JobError::Protocol("missing `clients` header".into()))?,
-                m,
-                "client",
-            )?;
-            let servers = parse_id_list(
-                &servers_line
-                    .ok_or_else(|| JobError::Protocol("missing `servers` header".into()))?,
-                m,
-                "server",
-            )?;
-            VariantInstance::ClientServer {
-                graph,
-                clients,
-                servers,
-            }
-        }
-    };
+    let graph = graph.ok_or_else(|| JobError::Protocol("missing `graph` section".into()))?;
+    check_declared_vertices(graph)?;
 
     let mut config = EngineConfig::seeded(seed);
     if let Some(d) = accept_denominator {
@@ -689,12 +707,69 @@ fn decode_run_spec(body: &str) -> Result<Box<JobSpec>, JobError> {
     if let Some(s) = shards {
         config.num_shards = s;
     }
-
-    Ok(Box::new(JobSpec {
-        instance,
+    Ok(RunHeaders {
+        variant,
         config,
         timeout,
-    }))
+        clients,
+        servers,
+        graph,
+    })
+}
+
+/// Decodes a run-v1 body straight into a canonical job: the graph
+/// section goes through [`gio::parse_canonical_edge_list`], so no
+/// graph is built. The bad-graph errors are the ones the graph
+/// builders gave, line numbers included.
+pub(crate) fn decode_run_job(body: &str) -> Result<CanonicalJob, JobError> {
+    let h = parse_run_headers(body)?;
+    let directed = h.variant == VariantKind::Directed;
+    let edges = gio::parse_canonical_edge_list(h.graph, directed)
+        .map_err(|e| JobError::Protocol(format!("bad graph: {e}")))?;
+    let weighted = edges.keys.weights().is_some();
+    let roles = match h.variant {
+        VariantKind::Undirected if weighted => {
+            return Err(JobError::Protocol(
+                "undirected variant takes an unweighted edge list".into(),
+            ))
+        }
+        VariantKind::Weighted if !weighted => {
+            return Err(JobError::Protocol(
+                "weighted variant needs `u v w` edge lines".into(),
+            ))
+        }
+        VariantKind::ClientServer if weighted => {
+            return Err(JobError::Protocol(
+                "client-server variant takes an unweighted edge list".into(),
+            ))
+        }
+        VariantKind::ClientServer => {
+            let m = edges.keys.num_edges();
+            let clients = parse_id_list(
+                h.clients
+                    .as_deref()
+                    .ok_or_else(|| JobError::Protocol("missing `clients` header".into()))?,
+                m,
+                "client",
+            )?;
+            let servers = parse_id_list(
+                h.servers
+                    .as_deref()
+                    .ok_or_else(|| JobError::Protocol("missing `servers` header".into()))?,
+                m,
+                "server",
+            )?;
+            Some((clients, servers))
+        }
+        _ => None,
+    };
+    Ok(CanonicalJob::new(
+        h.variant,
+        edges,
+        roles.as_ref().map(|(c, s)| (c, s)),
+        h.config,
+        h.timeout,
+    ))
 }
 
 /// Vertex count every request may declare regardless of its size, so
@@ -742,16 +817,14 @@ fn check_declared_vertices(graph_text: &str) -> Result<(), JobError> {
 /// Encodes a job result as an `ok run` response payload.
 ///
 /// Deterministic in the response: the serving path (cold, cached,
-/// coalesced) leaves no trace in the bytes.
+/// coalesced) leaves no trace in the bytes. Written straight into one
+/// buffer.
 pub fn encode_run_response(resp: &JobResponse) -> String {
-    let ids = resp
-        .spanner
-        .iter()
-        .map(|e| e.to_string())
-        .collect::<Vec<_>>()
-        .join(" ");
-    format!(
-        "ok run\nkey {:016x}\nvariant {}\nconverged {}\niterations {}\nlocal-rounds {}\nstar-fallbacks {}\nspanner-size {}\nspanner {}\n",
+    let mut out = String::with_capacity(160 + 6 * resp.spanner.len());
+    let _ = write!(
+        out,
+        "ok run\nkey {:016x}\nvariant {}\nconverged {}\niterations {}\nlocal-rounds {}\n\
+         star-fallbacks {}\nspanner-size {}\n",
         resp.key,
         resp.kind,
         u8::from(resp.converged),
@@ -759,8 +832,9 @@ pub fn encode_run_response(resp: &JobResponse) -> String {
         resp.local_rounds,
         resp.star_fallbacks,
         resp.spanner.len(),
-        ids,
-    )
+    );
+    write_id_line(&mut out, "spanner", resp.spanner.iter().copied());
+    out
 }
 
 /// Encodes a metrics snapshot as an `ok stats` response payload.
