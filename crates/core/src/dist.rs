@@ -1026,13 +1026,34 @@ mod tests {
         // exponent past pow2_ratio's range and panic, and each of
         // these weight profiles crashed a different layer (threshold
         // loop, rounded star-choice exponent, fallback weight sums).
-        let g = Graph::from_edges(3, [(0, 1), (1, 2), (0, 2)]);
-        for weights in [
-            vec![1, 1, (1u64 << 62) + 1],
-            vec![(1u64 << 61) + 2, 2, (1u64 << 61) + 2],
-            vec![1u64 << 63, 1u64 << 63, 1],
-            vec![u64::MAX, u64::MAX, u64::MAX],
+        let triangle = Graph::from_edges(3, [(0, 1), (1, 2), (0, 2)]);
+        // A unit-weight K4 joined by one unit edge to a triangle of
+        // 2^63 edges: the heavy stars have densities below 2^-62,
+        // whose rounded key used to overflow pow2_ratio.
+        let mixed = Graph::from_edges(
+            7,
+            [
+                (0, 1),
+                (0, 2),
+                (0, 3),
+                (1, 2),
+                (1, 3),
+                (2, 3),
+                (3, 4),
+                (4, 5),
+                (4, 6),
+                (5, 6),
+            ],
+        );
+        let heavy = 1u64 << 63;
+        for (g, weights) in [
+            (&triangle, vec![1, 1, (1u64 << 62) + 1]),
+            (&triangle, vec![(1u64 << 61) + 2, 2, (1u64 << 61) + 2]),
+            (&triangle, vec![1u64 << 63, 1u64 << 63, 1]),
+            (&triangle, vec![u64::MAX, u64::MAX, u64::MAX]),
+            (&mixed, vec![1, 1, 1, 1, 1, 1, 1, heavy, heavy, heavy]),
         ] {
+            let g = g.clone();
             let w = EdgeWeights::from_vec(weights.clone());
             let run = min_2_spanner_weighted(&g, &w, &EngineConfig::seeded(0));
             assert!(run.converged, "{weights:?}");

@@ -77,7 +77,7 @@ use rand::{Rng, SeedableRng};
 
 use dsa_graphs::{EdgeId, EdgeSet, Ratio, VertexId};
 
-use crate::star::{pow2_ratio, LocalStars, StarScratch};
+use crate::star::{pow2_ratio, LocalStars, OracleScratch, StarScratch};
 
 /// One problem variant of the Section-4 scheme: what needs covering,
 /// which stars exist, and at which density the iteration stops.
@@ -430,16 +430,6 @@ where
     (out, times)
 }
 
-/// Per-index parallel map with order-preserving merge (see
-/// [`sharded_chunks`]).
-fn sharded_map<T, F>(len: usize, shards: usize, f: F) -> (Vec<T>, Vec<Duration>)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    sharded_chunks(len, shards, |range| range.map(&f).collect())
-}
-
 /// Hard ceiling on engine shards (threads per sharded section).
 /// Shard counts can come from untrusted requests over the service's
 /// wire protocol; past `max(64, cores)` more shards only add spawn
@@ -526,12 +516,12 @@ pub fn run_engine_timed<V: SpannerVariant + Sync>(
     // its pair items got covered since it was built. Checking that is
     // a bitset probe per stored pair, vastly cheaper than the flow
     // oracle the recompute would run.
-    let mut locals: Vec<LocalStars> = Vec::new();
-    let mut rho: Vec<Ratio> = Vec::new();
+    let mut locals: Vec<LocalStars> = vec![LocalStars::default(); n];
+    let mut rho: Vec<Ratio> = vec![Ratio::zero(); n];
     // The unrestricted densest star each Step 1 found — ρ(v)'s
     // witness. Step 3 seeds fresh star choices with it instead of
     // re-running the flow oracle.
-    let mut best: Vec<Option<(Vec<bool>, Ratio)>> = Vec::new();
+    let mut best: Vec<Option<(Vec<bool>, Ratio)>> = vec![None; n];
 
     while !converged && (stats.len() as u64) < cfg.max_iterations {
         if cfg.is_cancelled() {
@@ -541,47 +531,39 @@ pub fn run_engine_timed<V: SpannerVariant + Sync>(
 
         // Step 1 (sharded): per-vertex star spaces and densest-star
         // densities — one flow-oracle call per stale vertex, the
-        // dominant cost of an iteration.
+        // dominant cost of an iteration. Every vertex is stale in the
+        // first iteration. Each shard runs its vertices through one
+        // oracle arena, whose buffers stop growing once they fit the
+        // largest star space the shard meets.
+        //
         // A vertex's star space plus the densest star found in it.
         type StarState = (LocalStars, Option<(Vec<bool>, Ratio)>);
         let t_step1 = Instant::now(); // dsa-lint: allow(DSA-D002, reason="step timing is trace-only diagnostics, never encoded output")
-        let step1_shards: Vec<Duration>;
-        if locals.is_empty() {
-            let (per_vertex, shard_times): (Vec<StarState>, _) = sharded_map(n, shards, |v| {
-                let ls = variant.local_stars(v, &uncovered);
-                let best = ls.densest(None);
-                (ls, best)
+        let first = stats.is_empty();
+        let (refreshed, step1_shards): (Vec<Option<StarState>>, _) =
+            sharded_chunks(n, shards, |range| {
+                let mut oracle = OracleScratch::default();
+                range
+                    .map(|v| {
+                        let fresh = !first
+                            && locals[v]
+                                .pairs
+                                .iter()
+                                .all(|p| p.items.iter().all(|&item| uncovered.contains(item)));
+                        if fresh {
+                            return None;
+                        }
+                        let ls = variant.local_stars(v, &uncovered);
+                        let best = ls.densest_with(None, &mut oracle);
+                        Some((ls, best))
+                    })
+                    .collect()
             });
-            step1_shards = shard_times;
-            (locals, best) = per_vertex.into_iter().unzip();
-            rho = best
-                .iter()
-                .map(|b| b.as_ref().map_or_else(Ratio::zero, |&(_, d)| d))
-                .collect();
-        } else {
-            let (refreshed, shard_times): (Vec<Option<StarState>>, _) = {
-                let locals = &locals;
-                let uncovered = &uncovered;
-                sharded_map(n, shards, move |v| {
-                    let fresh = locals[v]
-                        .pairs
-                        .iter()
-                        .all(|p| p.items.iter().all(|&item| uncovered.contains(item)));
-                    if fresh {
-                        return None;
-                    }
-                    let ls = variant.local_stars(v, uncovered);
-                    let best = ls.densest(None);
-                    Some((ls, best))
-                })
-            };
-            step1_shards = shard_times;
-            for (v, refreshed) in refreshed.into_iter().enumerate() {
-                if let Some((ls, b)) = refreshed {
-                    locals[v] = ls;
-                    rho[v] = b.as_ref().map_or_else(Ratio::zero, |&(_, d)| d);
-                    best[v] = b;
-                }
+        for (v, refreshed) in refreshed.into_iter().enumerate() {
+            if let Some((ls, b)) = refreshed {
+                locals[v] = ls;
+                rho[v] = b.as_ref().map_or_else(Ratio::zero, |&(_, d)| d);
+                best[v] = b;
             }
         }
         let global_max = rho.iter().copied().max().unwrap_or_else(Ratio::zero);
@@ -638,9 +620,14 @@ pub fn run_engine_timed<V: SpannerVariant + Sync>(
         let t_step3 = Instant::now(); // dsa-lint: allow(DSA-D002, reason="step timing is trace-only diagnostics, never encoded output")
         for v in 0..n {
             keys[v] = if cfg.round_densities {
+                // Clamped to pow2_ratio's exact range like the choice
+                // threshold below: a density under 2^-62 only arises
+                // beside astronomical weights, where the weighted
+                // threshold saturates at 2^-62, so such a vertex is
+                // never a candidate under either key.
                 rho[v]
                     .ceil_pow2_exponent()
-                    .map(pow2_ratio)
+                    .map(|exp| pow2_ratio(exp.max(-62)))
                     .unwrap_or_else(Ratio::zero)
             } else {
                 rho[v]
@@ -882,15 +869,16 @@ mod tests {
     }
 
     #[test]
-    fn sharded_map_matches_inline_for_any_shard_count() {
+    fn sharded_chunks_match_inline_for_any_shard_count() {
         let f = |i: usize| i * i + 1;
+        let per_index = |r: Range<usize>| r.map(f).collect::<Vec<_>>();
         let expect: Vec<usize> = (0..37).map(f).collect();
         for shards in [1, 2, 3, 8, 37, 100] {
-            let (out, times) = sharded_map(37, shards, f);
+            let (out, times) = sharded_chunks(37, shards, per_index);
             assert_eq!(out, expect, "shards={shards}");
             assert_eq!(times.len(), shard_ranges(37, shards).len().max(1));
         }
-        assert_eq!(sharded_map(0, 4, f).0, Vec::<usize>::new());
+        assert_eq!(sharded_chunks(0, 4, per_index).0, Vec::<usize>::new());
     }
 
     #[test]

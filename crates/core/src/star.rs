@@ -15,7 +15,7 @@
 //!   variant), and, while the vertex's rounded density is unchanged,
 //!   only ever *shrink* the previously chosen star (Claim 4.4).
 
-use dsa_flow::densest_weighted_subgraph;
+use dsa_flow::{densest_weighted_subgraph_with, DensestScratch};
 use dsa_graphs::{Ratio, VertexId};
 
 /// An inline list of at most two ids (edge ids or item indices).
@@ -139,6 +139,25 @@ pub struct Pair {
 pub struct StarScratch {
     /// Pair adjacency per leaf, indexed by leaf id: `(other, mult)`.
     by_leaf: Vec<Vec<(usize, u64)>>,
+    /// The leaves a disjoint star may use while a star grows.
+    complement: Vec<bool>,
+    /// The densest-star oracle's buffers.
+    oracle: OracleScratch,
+}
+
+/// Reusable buffers for [`LocalStars::densest_with`]: the local
+/// instance handed to the flow oracle and the oracle's own network, so
+/// a loop over many vertices builds every instance into the same
+/// memory.
+#[derive(Debug, Default)]
+pub struct OracleScratch {
+    /// The leaf each local vertex stands for.
+    idx: Vec<usize>,
+    /// The local vertex of each leaf (`usize::MAX` when not allowed).
+    back: Vec<usize>,
+    weights: Vec<u64>,
+    edges: Vec<(usize, usize, u64)>,
+    flow: DensestScratch,
 }
 
 /// The star search space at one vertex for one iteration: its potential
@@ -253,26 +272,47 @@ impl LocalStars {
     /// Zero-weight leaves in range are always included — they can only
     /// increase the density (the weighted variant's weight-0 edges).
     pub fn densest(&self, within: Option<&[bool]>) -> Option<(Vec<bool>, Ratio)> {
+        self.densest_with(within, &mut OracleScratch::default())
+    }
+
+    /// [`LocalStars::densest`] with caller-owned buffers, for loops
+    /// that ask many vertices for their densest star. The result is the
+    /// same as a fresh call's.
+    pub fn densest_with(
+        &self,
+        within: Option<&[bool]>,
+        scratch: &mut OracleScratch,
+    ) -> Option<(Vec<bool>, Ratio)> {
         let allowed = |i: usize| within.is_none_or(|w| w[i]);
+        let OracleScratch {
+            idx,
+            back,
+            weights,
+            edges,
+            flow,
+        } = scratch;
         // Build the local instance over allowed leaves.
-        let idx: Vec<usize> = (0..self.leaves.len()).filter(|&i| allowed(i)).collect();
+        idx.clear();
+        weights.clear();
+        back.clear();
+        back.resize(self.leaves.len(), usize::MAX);
+        for (i, leaf) in self.leaves.iter().enumerate() {
+            if allowed(i) {
+                back[i] = idx.len();
+                idx.push(i);
+                weights.push(leaf.weight);
+            }
+        }
         if idx.is_empty() {
             return None;
         }
-        let back: Vec<usize> = {
-            let mut b = vec![usize::MAX; self.leaves.len()];
-            for (k, &i) in idx.iter().enumerate() {
-                b[i] = k;
-            }
-            b
-        };
-        let weights: Vec<u64> = idx.iter().map(|&i| self.leaves[i].weight).collect();
-        let edges: Vec<(usize, usize, u64)> = self
-            .pairs
-            .iter()
-            .filter(|p| allowed(p.a) && allowed(p.b) && !p.items.is_empty())
-            .map(|p| (back[p.a], back[p.b], p.items.len() as u64))
-            .collect();
+        edges.clear();
+        edges.extend(
+            self.pairs
+                .iter()
+                .filter(|p| allowed(p.a) && allowed(p.b) && !p.items.is_empty())
+                .map(|p| (back[p.a], back[p.b], p.items.len() as u64)),
+        );
         // The flow oracle's exact arithmetic needs
         // total_weight² · 2 · total_multiplicity to fit in i64; on
         // astronomically weighted instances fall back to the densest
@@ -286,18 +326,18 @@ impl LocalStars {
         if !oracle_safe {
             return self.densest_pair(within);
         }
-        let best = densest_weighted_subgraph(&weights, &edges)?;
+        let (vertices, oracle_density) = densest_weighted_subgraph_with(flow, weights, edges)?;
         let mut member = vec![false; self.leaves.len()];
-        for &k in &best.vertices {
+        for &k in vertices {
             member[idx[k]] = true;
         }
         // Include free leaves.
-        for &i in &idx {
+        for &i in idx.iter() {
             if self.leaves[i].weight == 0 {
                 member[i] = true;
             }
         }
-        let density = self.density_of(&member).unwrap_or(best.density);
+        let density = self.density_of(&member).unwrap_or(oracle_density);
         Some((member, density))
     }
 
@@ -365,10 +405,11 @@ impl LocalStars {
         cached_densest: Option<&Option<(Vec<bool>, Ratio)>>,
         scratch: &mut StarScratch,
     ) -> Option<StarChoice> {
-        let densest_unrestricted = |ls: &LocalStars| match cached_densest {
-            Some(c) => c.clone(),
-            None => ls.densest(None),
-        };
+        let densest_unrestricted =
+            |ls: &LocalStars, oracle: &mut OracleScratch| match cached_densest {
+                Some(c) => c.clone(),
+                None => ls.densest_with(None, oracle),
+            };
         if let Some(prev) = prev {
             // Same rounded density as before: keep the previous star if
             // it is still dense enough.
@@ -381,7 +422,7 @@ impl LocalStars {
                 }
             }
             // Otherwise look for a dense star inside the previous one.
-            if let Some((seed, d)) = self.densest(Some(prev)) {
+            if let Some((seed, d)) = self.densest_with(Some(prev), &mut scratch.oracle) {
                 if d >= threshold {
                     let member = self.grow(seed, threshold, Some(prev), scratch);
                     return Some(StarChoice {
@@ -392,14 +433,14 @@ impl LocalStars {
             }
             // Claim 4.4 says this is unreachable; fall back to a fresh
             // choice and record it.
-            let (seed, _) = densest_unrestricted(self)?;
+            let (seed, _) = densest_unrestricted(self, &mut scratch.oracle)?;
             let member = self.grow(seed, threshold, None, scratch);
             return Some(StarChoice {
                 member,
                 fallback: true,
             });
         }
-        let (seed, _) = densest_unrestricted(self)?;
+        let (seed, _) = densest_unrestricted(self, &mut scratch.oracle)?;
         let member = self.grow(seed, threshold, None, scratch);
         Some(StarChoice {
             member,
@@ -471,10 +512,13 @@ impl LocalStars {
                 }
             }
             // Then a disjoint star.
-            let complement: Vec<bool> = (0..self.leaves.len())
-                .map(|i| !member[i] && allowed(i))
-                .collect();
-            let Some((disjoint, d)) = self.densest(Some(&complement)) else {
+            scratch.complement.clear();
+            scratch
+                .complement
+                .extend((0..self.leaves.len()).map(|i| !member[i] && allowed(i)));
+            let Some((disjoint, d)) =
+                self.densest_with(Some(&scratch.complement), &mut scratch.oracle)
+            else {
                 if added_leaf {
                     continue;
                 }
@@ -659,5 +703,74 @@ mod tests {
         assert!(ls.is_empty());
         assert_eq!(ls.max_density(), None);
         assert!(ls.choose_star(Ratio::one(), None).is_none());
+    }
+
+    /// Strategy: a star space of 1–20 leaves with random pairs spanning
+    /// one or two items, plus a random `within` mask (or none). Leaf
+    /// weights are 0–7, and up to 2^40 for about one leaf in eight, so
+    /// some spaces take the `densest_pair` fallback past the guard.
+    fn space_and_mask() -> impl Strategy<Value = (LocalStars, Option<Vec<bool>>)> {
+        (1usize..=20).prop_flat_map(|l| {
+            (
+                proptest::collection::vec((0u64..=7, 0u64..=1 << 40, 0u32..8), l),
+                proptest::collection::vec(0u32..5, l * (l - 1) / 2),
+                proptest::collection::vec(0u32..4, l),
+                0u32..4,
+            )
+                .prop_map(move |(weights, pair_draws, mask_draws, masked)| {
+                    let leaves = weights
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &(light, heavy, pick))| Leaf {
+                            vertex: 100 + i,
+                            weight: if pick == 0 { heavy } else { light },
+                            edges: IdList::one(i),
+                        })
+                        .collect();
+                    let all_pairs = (0..l).flat_map(|a| ((a + 1)..l).map(move |b| (a, b)));
+                    let pairs = all_pairs
+                        .zip(pair_draws)
+                        .enumerate()
+                        .filter_map(|(k, ((a, b), draw))| {
+                            let items = match draw {
+                                0 | 1 => IdList::one(2 * k),
+                                2 => IdList::two(2 * k, 2 * k + 1),
+                                _ => return None,
+                            };
+                            Some(Pair { a, b, items })
+                        })
+                        .collect();
+                    let within = (masked > 0).then(|| mask_draws.iter().map(|&d| d > 0).collect());
+                    (LocalStars { leaves, pairs }, within)
+                })
+        })
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One oracle arena, and one star-choice arena, reused across
+        /// star spaces that grow and shrink must answer each exactly as
+        /// fresh calls do.
+        #[test]
+        fn reused_arenas_match_fresh_calls(
+            sequence in proptest::collection::vec(space_and_mask(), 1..9)
+        ) {
+            let mut oracle = OracleScratch::default();
+            let mut star = StarScratch::default();
+            for (ls, within) in &sequence {
+                let within = within.as_deref();
+                prop_assert_eq!(ls.densest_with(within, &mut oracle), ls.densest(within));
+                let threshold = Ratio::new(1, 4);
+                let reused = ls.choose_star_with(threshold, within, &mut star);
+                let fresh = ls.choose_star(threshold, within);
+                prop_assert_eq!(
+                    reused.map(|c| (c.member, c.fallback)),
+                    fresh.map(|c| (c.member, c.fallback))
+                );
+            }
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Dinic's max-flow algorithm on small integer-capacity networks.
 
-use std::collections::VecDeque;
+/// Ends a node's arc list.
+const NIL: usize = usize::MAX;
 
 /// A flow network with integer capacities, solved with Dinic's
 /// algorithm.
@@ -23,32 +24,45 @@ use std::collections::VecDeque;
 /// net.add_edge(1, 2, 1);
 /// assert_eq!(net.max_flow(0, 3), 5);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MaxFlow {
-    // Edges stored in pairs: edge 2k is forward, 2k+1 its reverse.
+    // Arcs stored in pairs: arc 2k is forward, 2k+1 its reverse.
     to: Vec<usize>,
     cap: Vec<i64>,
-    adj: Vec<Vec<usize>>,
-    // Scratch for Dinic.
+    // Each node's arcs as a list threaded through `next`, newest
+    // first, so the network lives in flat arrays a reset keeps.
+    head: Vec<usize>,
+    next: Vec<usize>,
+    // Scratch for Dinic. After `max_flow`, `level[v] >= 0` exactly for
+    // the nodes its last, failed BFS reached.
     level: Vec<i32>,
     iter: Vec<usize>,
+    queue: Vec<usize>,
 }
 
 impl MaxFlow {
     /// Creates an empty network with `n` nodes.
     pub fn new(n: usize) -> Self {
-        MaxFlow {
-            to: Vec::new(),
-            cap: Vec::new(),
-            adj: vec![Vec::new(); n],
-            level: vec![0; n],
-            iter: vec![0; n],
-        }
+        let mut net = MaxFlow::default();
+        net.reset(n);
+        net
+    }
+
+    /// Empties the network down to `n` nodes and no arcs, keeping every
+    /// buffer's allocation for the next network built into it.
+    pub(crate) fn reset(&mut self, n: usize) {
+        self.to.clear();
+        self.cap.clear();
+        self.next.clear();
+        self.head.clear();
+        self.head.resize(n, NIL);
+        self.level.resize(n, -1);
+        self.iter.resize(n, NIL);
     }
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.adj.len()
+        self.head.len()
     }
 
     /// Adds a directed edge `u -> v` with capacity `cap` (and its zero
@@ -61,32 +75,37 @@ impl MaxFlow {
     pub fn add_edge(&mut self, u: usize, v: usize, cap: i64) -> usize {
         assert!(cap >= 0, "negative capacity");
         assert!(
-            u < self.adj.len() && v < self.adj.len(),
+            u < self.head.len() && v < self.head.len(),
             "node out of range"
         );
         let id = self.to.len();
-        self.to.push(v);
-        self.cap.push(cap);
-        self.adj[u].push(id);
-        self.to.push(u);
-        self.cap.push(0);
-        self.adj[v].push(id + 1);
+        self.push_arc(u, v, cap);
+        self.push_arc(v, u, 0);
         id
     }
 
-    /// Empties the network of flow and gives every edge a new capacity:
-    /// the `k`-th edge added gets `cap(k)`. One network then serves a
-    /// series of max-flow calls that differ only in capacities.
+    fn push_arc(&mut self, from: usize, to: usize, cap: i64) {
+        self.next.push(self.head[from]);
+        self.head[from] = self.to.len();
+        self.to.push(to);
+        self.cap.push(cap);
+    }
+
+    /// Empties the network of flow and gives every edge new capacities:
+    /// the `k`-th edge added gets `cap(k)`, forward and backward. An
+    /// edge with equal capacities both ways is an undirected edge. One
+    /// network then serves a series of max-flow calls that differ only
+    /// in capacities.
     ///
     /// # Panics
     ///
     /// Panics if a capacity is negative.
-    pub(crate) fn refill(&mut self, mut cap: impl FnMut(usize) -> i64) {
+    pub(crate) fn refill(&mut self, mut cap: impl FnMut(usize) -> (i64, i64)) {
         for (k, pair) in self.cap.chunks_exact_mut(2).enumerate() {
-            let c = cap(k);
-            assert!(c >= 0, "negative capacity");
-            pair[0] = c;
-            pair[1] = 0;
+            let (forward, backward) = cap(k);
+            assert!(forward >= 0 && backward >= 0, "negative capacity");
+            pair[0] = forward;
+            pair[1] = backward;
         }
     }
 
@@ -97,17 +116,21 @@ impl MaxFlow {
     }
 
     fn bfs(&mut self, s: usize, t: usize) -> bool {
-        self.level.iter_mut().for_each(|l| *l = -1);
-        let mut queue = VecDeque::new();
+        self.level.fill(-1);
+        self.queue.clear();
         self.level[s] = 0;
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
-            for &e in &self.adj[v] {
+        self.queue.push(s);
+        let mut read = 0;
+        while let Some(&v) = self.queue.get(read) {
+            read += 1;
+            let mut e = self.head[v];
+            while e != NIL {
                 let u = self.to[e];
                 if self.cap[e] > 0 && self.level[u] < 0 {
                     self.level[u] = self.level[v] + 1;
-                    queue.push_back(u);
+                    self.queue.push(u);
                 }
+                e = self.next[e];
             }
         }
         self.level[t] >= 0
@@ -117,8 +140,8 @@ impl MaxFlow {
         if v == t {
             return f;
         }
-        while self.iter[v] < self.adj[v].len() {
-            let e = self.adj[v][self.iter[v]];
+        while self.iter[v] != NIL {
+            let e = self.iter[v];
             let u = self.to[e];
             if self.cap[e] > 0 && self.level[u] == self.level[v] + 1 {
                 let d = self.dfs(u, t, f.min(self.cap[e]));
@@ -128,7 +151,7 @@ impl MaxFlow {
                     return d;
                 }
             }
-            self.iter[v] += 1;
+            self.iter[v] = self.next[e];
         }
         0
     }
@@ -144,7 +167,7 @@ impl MaxFlow {
         assert_ne!(s, t, "source equals sink");
         let mut flow = 0;
         while self.bfs(s, t) {
-            self.iter.iter_mut().for_each(|i| *i = 0);
+            self.iter.copy_from_slice(&self.head);
             loop {
                 let f = self.dfs(s, t, i64::MAX);
                 if f == 0 {
@@ -156,20 +179,29 @@ impl MaxFlow {
         flow
     }
 
+    /// After [`MaxFlow::max_flow`], whether node `v` is reachable from
+    /// the source in the residual network: the last BFS, which failed
+    /// to reach the sink, already marked the source side of the
+    /// minimum cut.
+    pub(crate) fn on_source_side(&self, v: usize) -> bool {
+        self.level[v] >= 0
+    }
+
     /// After [`MaxFlow::max_flow`], the set of nodes reachable from `s`
     /// in the residual network — the source side of a minimum cut.
     pub fn min_cut_source_side(&self, s: usize) -> Vec<bool> {
-        let mut seen = vec![false; self.adj.len()];
-        let mut queue = VecDeque::new();
+        let mut seen = vec![false; self.head.len()];
+        let mut stack = vec![s];
         seen[s] = true;
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
-            for &e in &self.adj[v] {
+        while let Some(v) = stack.pop() {
+            let mut e = self.head[v];
+            while e != NIL {
                 let u = self.to[e];
                 if self.cap[e] > 0 && !seen[u] {
                     seen[u] = true;
-                    queue.push_back(u);
+                    stack.push(u);
                 }
+                e = self.next[e];
             }
         }
         seen

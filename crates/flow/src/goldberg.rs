@@ -72,6 +72,10 @@ pub fn densest_subgraph(n: usize, edges: &[(usize, usize)]) -> Option<Densest> {
 ///
 /// Returns `None` when `edges` is empty.
 ///
+/// This allocates a fresh [`DensestScratch`] per call; loops that ask
+/// for many densest subgraphs call [`densest_weighted_subgraph_with`]
+/// on one scratch instead.
+///
 /// # Algorithm
 ///
 /// Goldberg's network for a density `λ = p/q` has source capacities
@@ -83,12 +87,16 @@ pub fn densest_subgraph(n: usize, edges: &[(usize, usize)]) -> Option<Densest> {
 /// the inclusion-minimal maximizer of `|E(A)| − λ·W(A)`.
 ///
 /// Dinkelbach's iteration (Dinkelbach 1967) climbs to the optimum `ρ*`.
-/// The cut at `λ = 0` carries no flow and yields the non-isolated
-/// vertices. Each later cut at `λ = p/q`, the density of the last set
-/// found, either yields a strictly denser set or proves `λ = ρ*`, and
-/// the last set found is the answer. The network is built once; the
-/// cuts only refill its capacities. A call takes a handful of cuts,
-/// against about 17 for a binary search over the density grid.
+/// At `λ = 0` every sink capacity is zero, so no flow moves and the
+/// residual source side is the set of vertices with an edge: the
+/// iteration starts from that set without running a cut. Each cut at
+/// `λ = p/q`, the density of the last set found, either yields a
+/// strictly denser set or proves `λ = ρ*`, and the last set found is
+/// the answer. The network is built once; the cuts only refill its
+/// capacities, and each cut's max flow starts from the flow that runs
+/// from the source through a single vertex to the sink. A call takes a
+/// handful of cuts, against about 17 for a binary search over the
+/// density grid.
 ///
 /// # Which densest set
 ///
@@ -107,20 +115,54 @@ pub fn densest_subgraph(n: usize, edges: &[(usize, usize)]) -> Option<Densest> {
 /// returns the same set, as its last successful probe falls on the
 /// same piece.
 ///
-/// Every capacity and every flow is at most `2·m·W`, with `W` the total
-/// weight: the source capacities sum to `2·m·q ≤ 2·m·W`, which bounds
-/// every flow, and the sink capacities are `2·p·w(v) ≤ 2·m·W`. That is
-/// well within the `2·m·W²` the overflow guard admits.
+/// Every capacity, residual capacity and flow is at most `2·m·W`, with
+/// `W` the total weight: the source capacities sum to `2·m·q ≤ 2·m·W`,
+/// which bounds every flow, the sink capacities are `2·p·w(v) ≤ 2·m·W`,
+/// and an edge's residual capacity is at most twice its `mult·q`.
 ///
 /// # Panics
 ///
 /// Panics on out-of-range endpoints, self-loops, zero multiplicities,
-/// or magnitudes large enough to overflow the scaled capacities
-/// (`2 · total_weight² · total_multiplicity` must fit in `i64`).
+/// or when `2·m·W` exceeds `i64::MAX`.
 pub fn densest_weighted_subgraph(
     vertex_weights: &[u64],
     edges: &[(usize, usize, u64)],
 ) -> Option<Densest> {
+    densest_weighted_subgraph_with(&mut DensestScratch::default(), vertex_weights, edges).map(
+        |(vertices, density)| Densest {
+            vertices: vertices.to_vec(),
+            density,
+        },
+    )
+}
+
+/// Buffers that [`densest_weighted_subgraph_with`] reuses from call to
+/// call: the flow network, its capacity coefficients, the weighted
+/// degrees and the witness. One scratch serves any sequence of
+/// instances, of any sizes, and allocates only while it grows.
+#[derive(Debug, Default)]
+pub struct DensestScratch {
+    net: MaxFlow,
+    /// `(deg(v), 2·w(v))` per vertex with an edge, whose source and
+    /// sink arcs are added first, in that order: at `λ = p/q` they get
+    /// capacities `deg(v)·q` and `2·w(v)·p`.
+    coef: Vec<(i64, i64)>,
+    deg: Vec<i64>,
+    vertices: Vec<usize>,
+}
+
+/// [`densest_weighted_subgraph`] on caller-owned buffers. Returns the
+/// densest set, sorted increasingly and borrowed from `scratch`, and
+/// its density; the result is the same as a fresh call's.
+///
+/// # Panics
+///
+/// As [`densest_weighted_subgraph`].
+pub fn densest_weighted_subgraph_with<'a>(
+    scratch: &'a mut DensestScratch,
+    vertex_weights: &[u64],
+    edges: &[(usize, usize, u64)],
+) -> Option<(&'a [usize], Ratio)> {
     let n = vertex_weights.len();
     if edges.is_empty() {
         return None;
@@ -130,72 +172,97 @@ pub fn densest_weighted_subgraph(
         assert!(u != v, "self-loop ({u}, {v})");
         assert!(mult > 0, "zero multiplicity on ({u}, {v})");
     }
-    let m: i64 = edges.iter().map(|&(_, _, mult)| mult as i64).sum();
-    // Weighted degrees in the local graph.
-    let mut deg = vec![0i64; n];
+    let m: u128 = edges.iter().map(|&(_, _, mult)| u128::from(mult)).sum();
+    let total_weight: u128 = vertex_weights.iter().map(|&w| u128::from(w)).sum();
+    assert!(
+        m.checked_mul(total_weight)
+            .and_then(|x| x.checked_mul(2))
+            .is_some_and(|bound| bound <= i64::MAX as u128),
+        "instance too large for exact densest-subgraph arithmetic"
+    );
+    if total_weight == 0 {
+        // Every set weighs nothing: no valid witness.
+        return None;
+    }
+    // With W ≥ 1 the bound makes every multiplicity, weight and sum
+    // below fit in i64.
+    let m = m as i64;
+    let DensestScratch {
+        net,
+        coef,
+        deg,
+        vertices,
+    } = scratch;
+    deg.clear();
+    deg.resize(n, 0);
     for &(u, v, mult) in edges {
         deg[u] += mult as i64;
         deg[v] += mult as i64;
     }
+    // The λ = 0 set: every vertex with an edge.
+    vertices.clear();
+    vertices.extend((0..n).filter(|&v| deg[v] > 0));
+    let (mut p, mut q) = (m, weight_of(vertices, vertex_weights));
 
-    let total_weight: i64 = vertex_weights.iter().map(|&w| w as i64).sum();
-    let d = (total_weight * total_weight).max(2);
-    assert!(
-        m.checked_mul(d).and_then(|x| x.checked_mul(2)).is_some(),
-        "instance too large for exact densest-subgraph arithmetic"
-    );
-
-    // One network for every cut. Each edge's capacity at λ = p/q is
-    // `coef.0·q + coef.1·p`.
+    // One network for every cut: the source and sink arcs of each
+    // vertex with an edge, then one undirected arc per edge. Vertices
+    // without an edge get no arc: no flow can reach them.
     let (s, sink) = (n, n + 1);
-    let mut net = MaxFlow::new(n + 2);
-    let mut coef: Vec<(i64, i64)> = Vec::with_capacity(2 * n + 2 * edges.len());
-    for v in 0..n {
-        if deg[v] > 0 {
-            net.add_edge(s, v, 0);
-            coef.push((deg[v], 0));
-        }
-        if vertex_weights[v] > 0 {
-            net.add_edge(v, sink, 0);
-            coef.push((0, 2 * vertex_weights[v] as i64));
-        }
+    net.reset(n + 2);
+    coef.clear();
+    for &v in vertices.iter() {
+        net.add_edge(s, v, 0);
+        net.add_edge(v, sink, 0);
+        coef.push((deg[v], 2 * vertex_weights[v] as i64));
     }
-    for &(u, v, mult) in edges {
+    for &(u, v, _) in edges {
         net.add_edge(u, v, 0);
-        net.add_edge(v, u, 0);
-        coef.push((mult as i64, 0));
-        coef.push((mult as i64, 0));
     }
-    // The minimal source side of the cut at λ = p/q, if some set is
-    // strictly denser than λ.
-    let mut cut = |p: i64, q: i64| -> Option<Vec<usize>> {
-        net.refill(|k| coef[k].0 * q + coef[k].1 * p);
-        if net.max_flow(s, sink) == 2 * m * q {
-            return None;
-        }
-        let side = net.min_cut_source_side(s);
-        Some((0..n).filter(|&v| side[v]).collect())
-    };
-
-    // Dinkelbach from λ = 0: some edge exists, so that cut succeeds.
-    let mut best = cut(0, 1)?;
     loop {
-        let (p, q) = edge_count_and_weight(&best, vertex_weights, edges);
         if q == 0 {
             // Only zero-weight sets beat the last density (an edge
             // between two zero-weight vertices): no valid witness.
             return None;
         }
-        match cut(p as i64, q as i64) {
-            Some(denser) => best = denser,
-            None => {
-                return Some(Densest {
-                    vertices: best,
-                    density: Ratio::new(p, q),
-                })
+        // The cut at λ = p/q: its residual source side is strictly
+        // denser than λ, unless the trivial cut is minimal. Each
+        // vertex starts out passing min(source, sink capacity)
+        // straight through, so Dinic only adds the flow that has to
+        // cross an edge.
+        let arcs = |(d, w2): (i64, i64)| {
+            let (into, out) = (d * q, w2 * p);
+            (into, out, into.min(out))
+        };
+        net.refill(|k| match coef.get(k / 2) {
+            Some(&c) => {
+                let (into, out, through) = arcs(c);
+                let cap = if k % 2 == 0 { into } else { out };
+                (cap - through, through)
             }
+            None => {
+                let c = edges[k - 2 * coef.len()].2 as i64 * q;
+                (c, c)
+            }
+        });
+        let through: i64 = coef.iter().map(|&c| arcs(c).2).sum();
+        if through + net.max_flow(s, sink) == 2 * m * q {
+            return Some((vertices, Ratio::new(p as u64, q as u64)));
         }
+        vertices.clear();
+        vertices.extend((0..n).filter(|&v| net.on_source_side(v)));
+        p = edges
+            .iter()
+            .filter(|&&(u, v, _)| net.on_source_side(u) && net.on_source_side(v))
+            .map(|&(_, _, mult)| mult as i64)
+            .sum();
+        q = weight_of(vertices, vertex_weights);
     }
+}
+
+/// Total weight of the vertex set `a`, which the caller's overflow
+/// guard bounds by `i64::MAX`.
+fn weight_of(a: &[usize], vertex_weights: &[u64]) -> i64 {
+    a.iter().map(|&v| vertex_weights[v] as i64).sum()
 }
 
 /// `(Σ mult inside a, Σ weight of a)` for a vertex set `a`.
@@ -408,16 +475,34 @@ mod weighted_tests {
 
     #[test]
     fn heavy_vertex_keeps_capacities_within_the_guard() {
-        // A weight-2^30 vertex with no pair next to a unit-weight edge:
-        // 2·m·W² fits in i64, and every capacity the cuts use must
-        // stay within that bound.
-        let weights = vec![1, 1, 1 << 30];
-        let edges = vec![(0, 1, 1)];
-        let best = densest_weighted_subgraph(&weights, &edges).unwrap();
+        // A heavy vertex with no pair next to a unit-weight edge. At
+        // 2^32, W² no longer fits in i64, but 2·m·W does, and every
+        // capacity the cuts use stays within that bound.
+        for heavy in [1 << 30, 1 << 32] {
+            let weights = vec![1, 1, heavy];
+            let edges = vec![(0, 1, 1)];
+            let best = densest_weighted_subgraph(&weights, &edges).unwrap();
+            assert_eq!(best.vertices, vec![0, 1]);
+            assert_eq!(best.density, Ratio::new(1, 2));
+            let slow = densest_weighted_subgraph_brute_force(&weights, &edges).unwrap();
+            assert_eq!(best, slow);
+        }
+    }
+
+    #[test]
+    fn guard_admits_exactly_two_m_w_up_to_i64_max() {
+        // 2·m·W = 2^63 − 2, the largest even bound that fits: solved
+        // exactly, with no capacity or flow overflowing.
+        let best = densest_weighted_subgraph(&[1, (1 << 62) - 2], &[(0, 1, 1)]).unwrap();
         assert_eq!(best.vertices, vec![0, 1]);
-        assert_eq!(best.density, Ratio::new(1, 2));
-        let slow = densest_weighted_subgraph_brute_force(&weights, &edges).unwrap();
-        assert_eq!(best, slow);
+        assert_eq!(best.density, Ratio::new(1, (1 << 62) - 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "instance too large for exact densest-subgraph arithmetic")]
+    fn guard_rejects_instances_past_two_m_w() {
+        // 2·m·W = 2^63.
+        densest_weighted_subgraph(&[1, (1 << 62) - 1], &[(0, 1, 1)]);
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! weight). The returned set is canonical — the intersection of all
 //! densest sets of maximum total weight — so it is a pure function of
 //! the local graph, and the stars, and spanner bytes, chosen from it
-//! are too.
+//! are too. Callers that solve many small instances in a row pass one
+//! [`DensestScratch`] to [`densest_weighted_subgraph_with`], which then
+//! builds every network into the same buffers.
 //!
 //! # Example
 //!
@@ -44,5 +46,5 @@ mod goldberg;
 pub use dinic::MaxFlow;
 pub use goldberg::{
     densest_subgraph, densest_subgraph_brute_force, densest_weighted_subgraph,
-    densest_weighted_subgraph_brute_force, Densest,
+    densest_weighted_subgraph_brute_force, densest_weighted_subgraph_with, Densest, DensestScratch,
 };

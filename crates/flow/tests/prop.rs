@@ -2,7 +2,10 @@
 //! with exhaustive search on every small graph, down to the exact
 //! vertex set it returns.
 
-use dsa_flow::{densest_subgraph, densest_subgraph_brute_force, densest_weighted_subgraph};
+use dsa_flow::{
+    densest_subgraph, densest_subgraph_brute_force, densest_weighted_subgraph,
+    densest_weighted_subgraph_with, DensestScratch,
+};
 use dsa_graphs::Ratio;
 use proptest::bits::BitSetLike;
 use proptest::prelude::*;
@@ -114,6 +117,75 @@ fn canonical_witness(
     Some(((0..n).filter(|&v| meet >> v & 1 == 1).collect(), density))
 }
 
+/// Largest weight a reuse-sequence instance may draw, before halving.
+const HEAVIER: u64 = 1 << 58;
+
+/// Strategy: an instance on 1–40 vertices whose edges all lie among at
+/// most 10 of them, so exhaustive search stays cheap while the vertex
+/// count swings from instance to instance. Weights are 0–7, or for
+/// about a quarter of the vertices up to 2^58, halved as needed until
+/// `2·m·W` fits the oracle's `i64` guard; multiplicities are 1–2 and no
+/// pair joins two zero-weight vertices.
+fn sparse_instance() -> impl Strategy<Value = (Vec<u64>, Vec<(usize, usize, u64)>)> {
+    (1usize..=40).prop_flat_map(|n| {
+        let k = n.min(10);
+        (
+            proptest::collection::vec(0u64..=7, n),
+            proptest::collection::vec(0u64..=HEAVIER, n),
+            proptest::collection::vec(0u32..4, n),
+            proptest::collection::vec(0u32..=u32::MAX, n),
+            proptest::collection::vec(0u64..=2, k * (k - 1) / 2),
+        )
+            .prop_map(move |(light, big, pick, rank, mults)| {
+                let mut weights: Vec<u64> = (0..n)
+                    .map(|v| if pick[v] == 0 { big[v] } else { light[v] })
+                    .collect();
+                // The k vertices of lowest rank carry the edges.
+                let mut active: Vec<usize> = (0..n).collect();
+                active.sort_by_key(|&v| rank[v]);
+                let pairs = (0..k).flat_map(|a| ((a + 1)..k).map(move |b| (a, b)));
+                let edges: Vec<(usize, usize, u64)> = pairs
+                    .zip(mults)
+                    .map(|((a, b), mult)| (active[a], active[b], mult))
+                    .filter(|&(u, v, mult)| mult > 0 && (weights[u] > 0 || weights[v] > 0))
+                    .collect();
+                let m: u128 = edges.iter().map(|&(_, _, mult)| mult as u128).sum();
+                let fits = |w: &[u64]| {
+                    let total: u128 = w.iter().map(|&x| x as u128).sum();
+                    2 * m * total <= i64::MAX as u128
+                };
+                while !fits(&weights) {
+                    for w in weights.iter_mut().filter(|w| **w > 7) {
+                        *w /= 2;
+                    }
+                }
+                (weights, edges)
+            })
+    })
+}
+
+/// [`canonical_witness`] by exhaustive search over the vertices that
+/// have an edge only. No other vertex is ever in the canonical set: one
+/// of positive weight lowers every set's density, and one of zero
+/// weight leaves a set's density and weight as they were, so the
+/// intersection drops it.
+fn canonical_witness_on_endpoints(
+    weights: &[u64],
+    edges: &[(usize, usize, u64)],
+) -> Option<(Vec<usize>, Ratio)> {
+    let mut ends: Vec<usize> = edges.iter().flat_map(|&(u, v, _)| [u, v]).collect();
+    ends.sort_unstable();
+    ends.dedup();
+    let local = |x: usize| ends.binary_search(&x).expect("an endpoint");
+    let local_weights: Vec<u64> = ends.iter().map(|&v| weights[v]).collect();
+    let local_edges: Vec<(usize, usize, u64)> = edges
+        .iter()
+        .map(|&(u, v, mult)| (local(u), local(v), mult))
+        .collect();
+    canonical_witness(&local_weights, &local_edges)
+        .map(|(set, density)| (set.into_iter().map(|x| ends[x]).collect(), density))
+}
+
 fn assert_canonical(weights: &[u64], edges: &[(usize, usize, u64)]) -> Result<(), TestCaseError> {
     let got = densest_weighted_subgraph(weights, edges).map(|d| (d.vertices, d.density));
     let want = canonical_witness(weights, edges);
@@ -144,6 +216,29 @@ proptest! {
     #[test]
     fn heavy_weights_keep_the_canonical_witness((weights, edges) in star_instance(true)) {
         assert_canonical(&weights, &edges)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// One scratch carried through instances that grow and shrink must
+    /// answer each exactly as a fresh call and exhaustive search do:
+    /// nothing a larger instance left in its buffers may leak into a
+    /// smaller one.
+    #[test]
+    fn reused_scratch_matches_fresh_calls(
+        sequence in proptest::collection::vec(sparse_instance(), 1..9)
+    ) {
+        let mut scratch = DensestScratch::default();
+        for (weights, edges) in &sequence {
+            let reused = densest_weighted_subgraph_with(&mut scratch, weights, edges)
+                .map(|(set, density)| (set.to_vec(), density));
+            let fresh = densest_weighted_subgraph(weights, edges).map(|d| (d.vertices, d.density));
+            prop_assert_eq!(&reused, &fresh, "weights={:?} edges={:?}", weights, edges);
+            let want = canonical_witness_on_endpoints(weights, edges);
+            prop_assert_eq!(&reused, &want, "weights={:?} edges={:?}", weights, edges);
+        }
     }
 }
 

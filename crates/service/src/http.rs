@@ -111,7 +111,7 @@
 //! `connections_timed_out`).
 
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -247,6 +247,11 @@ fn serve_http_connection(stream: TcpStream, service: &Arc<Service>, stop: &Atomi
                 reader.finish_message();
                 let (status, allow, retry_after_ms, content_type, resp_body) =
                     route(&head.method, &head.path, &head.query, &body, service);
+                // Once shutdown is requested, this reply is the
+                // connection's last: a client that keeps sending never
+                // lets a read block, so the reader alone would serve it
+                // for as long as it sends.
+                let keep_alive = head.keep_alive && !stop.load(Ordering::SeqCst);
                 // Chaos hook: the connection drops mid-response — head
                 // promising a full body, only half of it written. A
                 // retrying client reconnects and resubmits.
@@ -269,13 +274,13 @@ fn serve_http_connection(stream: TcpStream, service: &Arc<Service>, stop: &Atomi
                     retry_after_ms,
                     content_type,
                     &resp_body,
-                    head.keep_alive,
+                    keep_alive,
                 )
                 .is_err()
                 {
                     break;
                 }
-                if !head.keep_alive {
+                if !keep_alive {
                     break;
                 }
             }

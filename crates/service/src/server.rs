@@ -5,7 +5,7 @@
 //! the HTTP facade ([`crate::http`]).
 
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::graphs::GraphError;
@@ -105,6 +105,12 @@ fn serve_connection(stream: TcpStream, service: &Arc<Service>, stop: &AtomicBool
             break;
         }
         if write_frame(&mut writer, response.as_bytes()).is_err() {
+            break;
+        }
+        // A client that keeps sending never lets a read block, so the
+        // reader alone would serve it for as long as it sends: once
+        // shutdown is requested, close after the reply just written.
+        if stop.load(Ordering::SeqCst) {
             break;
         }
     }

@@ -1046,10 +1046,12 @@ mod tests {
 
     #[test]
     fn heavy_weighted_edge_is_served_and_worker_survives() {
-        // One edge of weight 2^30 beside unit-weight edges. The flow
-        // oracle's capacities must stay within its overflow guard: a
-        // panic there would kill the only worker, and every later job
-        // would time out.
+        // Heavy edges beside unit-weight edges: one edge of weight 2^30,
+        // and a triangle of 2^63 edges hanging off a unit K4. The flow
+        // oracle's capacities must stay within its overflow guard, and
+        // the engine's rounded density keys within pow2_ratio's range:
+        // a panic in either would kill the only worker, and every
+        // later job would time out.
         use dsa_core::verify::is_k_spanner;
         use dsa_graphs::{EdgeSet, EdgeWeights, Graph};
         let service = Service::new(&ServiceConfig {
@@ -1059,24 +1061,47 @@ mod tests {
         // A dead worker never answers; the generous deadline turns that
         // into a failure instead of a hang. Healthy runs take microseconds.
         let deadline = Some(Duration::from_secs(60));
-        let graph = Graph::from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)]);
-        let mut heavy = JobSpec::new(
-            VariantInstance::Weighted {
-                graph: graph.clone(),
-                weights: EdgeWeights::from_vec(vec![1, 1, 1, 1 << 30]),
-            },
-            1,
-        );
-        heavy.timeout = deadline;
-        let resp = service.run(&heavy).unwrap();
-        assert!(resp.converged);
-        let h = EdgeSet::from_iter(graph.num_edges(), resp.spanner.iter().copied());
-        assert!(is_k_spanner(&graph, &h, 2));
+        let k4_and_triangle = [
+            (0, 1),
+            (0, 2),
+            (0, 3),
+            (1, 2),
+            (1, 3),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (4, 6),
+            (5, 6),
+        ];
+        let huge = 1u64 << 63;
+        for (graph, weights) in [
+            (
+                Graph::from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)]),
+                vec![1, 1, 1, 1 << 30],
+            ),
+            (
+                Graph::from_edges(7, k4_and_triangle),
+                vec![1, 1, 1, 1, 1, 1, 1, huge, huge, huge],
+            ),
+        ] {
+            let mut heavy = JobSpec::new(
+                VariantInstance::Weighted {
+                    graph: graph.clone(),
+                    weights: EdgeWeights::from_vec(weights),
+                },
+                1,
+            );
+            heavy.timeout = deadline;
+            let resp = service.run(&heavy).unwrap();
+            assert!(resp.converged);
+            let h = EdgeSet::from_iter(graph.num_edges(), resp.spanner.iter().copied());
+            assert!(is_k_spanner(&graph, &h, 2));
+        }
         // The worker is still alive: the next, unrelated job is served.
         let mut next = undirected_spec(10, 0.5, 9, 1);
         next.timeout = deadline;
         assert!(service.run(&next).unwrap().converged);
-        assert_eq!(service.metrics().jobs_completed, 2);
+        assert_eq!(service.metrics().jobs_completed, 3);
     }
 
     #[test]

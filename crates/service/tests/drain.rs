@@ -8,19 +8,25 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use dsa_core::dist::VariantInstance;
 use dsa_graphs::gen;
-use dsa_service::{Client, JobSpec, RetryPolicy, Service, ServiceConfig};
+use dsa_service::wire::{encode_ping_request, read_frame, write_frame};
+use dsa_service::{
+    Client, HttpClient, JobError, JobResponse, JobSpec, RetryPolicy, Service, ServiceConfig,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const SERVE_BIN: &str = env!("CARGO_BIN_EXE_spanner-serve");
 
 /// Starts `spanner-serve` on an ephemeral port and returns the child
-/// plus the bound address parsed from its `listening <addr>` line.
-fn start_server(extra: &[&str]) -> (Child, String) {
+/// plus the bound address parsed from its `listening <addr>` line, and
+/// the HTTP address from its `http listening <addr>` line when `extra`
+/// asks for an HTTP port.
+fn start_server(extra: &[&str]) -> (Child, String, Option<String>) {
     let mut child = Command::new(SERVE_BIN)
         .args(["--addr", "127.0.0.1:0", "--workers", "2", "--queue", "4"])
         .args(extra)
@@ -30,18 +36,22 @@ fn start_server(extra: &[&str]) -> (Child, String) {
         .expect("spawn spanner-serve");
     let stdout = child.stdout.take().expect("child stdout");
     let mut lines = BufReader::new(stdout).lines();
-    let addr = loop {
+    let mut next_with = |prefix: &str| loop {
         let line = lines
             .next()
             .expect("server exited before listening")
             .expect("read server stdout");
-        if let Some(addr) = line.strip_prefix("listening ") {
+        if let Some(addr) = line.strip_prefix(prefix) {
             break addr.to_string();
         }
     };
+    let addr = next_with("listening ");
+    let http_addr = extra
+        .contains(&"--http-port")
+        .then(|| next_with("http listening "));
     // Keep draining stdout so the child never blocks on a full pipe.
     std::thread::spawn(move || for _ in lines {});
-    (child, addr)
+    (child, addr, http_addr)
 }
 
 fn sigterm(child: &Child) {
@@ -51,6 +61,9 @@ fn sigterm(child: &Child) {
         .expect("run kill");
     assert!(status.success(), "kill -TERM failed");
 }
+
+/// Replies each client must have received before the SIGTERM.
+const WARM_REPLIES: u64 = 5;
 
 #[test]
 fn sigterm_under_load_drains_and_loses_no_delivered_response() {
@@ -74,53 +87,77 @@ fn sigterm_under_load_drains_and_loses_no_delivered_response() {
         .map(|spec| reference_service.run(spec).unwrap())
         .collect();
 
-    let (child, addr) = start_server(&["--drain-timeout", "30"]);
-    // Load: three retrying clients loop over the specs until the
-    // server goes away; the SIGTERM lands mid-stream. Everything a
-    // client *received* must match the reference — a drained server
-    // may refuse or cut a request, but it must never corrupt one.
-    let stop_at = Instant::now() + Duration::from_secs(10);
+    let drain_timeout = Duration::from_secs(30);
+    let (mut child, addr, http_addr) = start_server(&[
+        "--drain-timeout",
+        &drain_timeout.as_secs().to_string(),
+        "--http-port",
+        "0",
+    ]);
+    let http_addr = http_addr.expect("http address");
+    // Load: three retrying TCP clients and one keep-alive HTTP client
+    // send back to back, so no server-side read ever waits, until the
+    // server goes away. The SIGTERM lands once every client has had
+    // replies delivered, and the server must close their busy
+    // connections and exit inside its drain timeout; 60 s bounds the
+    // clients only if it never does. Everything a client *received*
+    // must match the reference — a drained server may refuse or cut a
+    // request, but it must never corrupt one.
+    let give_up = Instant::now() + Duration::from_secs(60);
+    let (warm_tx, warm_rx) = mpsc::channel();
     let delivered: u64 = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..3usize {
-            let (specs, reference, addr) = (&specs, &reference, addr.clone());
-            handles.push(scope.spawn(move || {
-                let Ok(mut client) = Client::connect(addr.as_str()) else {
-                    return 0u64;
-                };
-                let policy = RetryPolicy {
-                    max_retries: 3,
-                    base: Duration::from_millis(2),
-                    cap: Duration::from_millis(20),
-                    seed: t as u64,
-                };
-                let mut delivered = 0u64;
-                'outer: while Instant::now() < stop_at {
-                    for (i, spec) in specs.iter().enumerate() {
-                        match client.run_with_retry(spec, &policy) {
-                            Ok(resp) => {
-                                assert_eq!(resp, reference[i], "client {t}: spec {i} diverged");
-                                delivered += 1;
+        let handles: Vec<_> = (0..4usize)
+            .map(|t| {
+                let (specs, reference, warm_tx) = (&specs, &reference, warm_tx.clone());
+                let (addr, http_addr) = (addr.as_str(), http_addr.as_str());
+                scope.spawn(move || {
+                    let policy = RetryPolicy {
+                        max_retries: 3,
+                        base: Duration::from_millis(2),
+                        cap: Duration::from_millis(20),
+                        seed: t as u64,
+                    };
+                    type Run<'a> = Box<dyn FnMut(&JobSpec) -> Result<JobResponse, JobError> + 'a>;
+                    let mut run: Run<'_> = if t < 3 {
+                        let mut client = Client::connect(addr).expect("connect over TCP");
+                        Box::new(move |spec| client.run_with_retry(spec, &policy))
+                    } else {
+                        let mut client = HttpClient::connect(http_addr).expect("connect over HTTP");
+                        Box::new(move |spec| client.run_with_retry(spec, &policy))
+                    };
+                    let mut delivered = 0u64;
+                    'outer: while Instant::now() < give_up {
+                        for (i, spec) in specs.iter().enumerate() {
+                            match run(spec) {
+                                Ok(resp) => {
+                                    assert_eq!(resp, reference[i], "client {t}: spec {i} diverged");
+                                    delivered += 1;
+                                    if delivered == WARM_REPLIES {
+                                        let _ = warm_tx.send(());
+                                    }
+                                }
+                                // The server shut down underneath us —
+                                // expected once SIGTERM lands.
+                                Err(_) => break 'outer,
                             }
-                            // The server shut down underneath us —
-                            // expected once SIGTERM lands.
-                            Err(_) => break 'outer,
                         }
                     }
-                }
-                delivered
-            }));
+                    delivered
+                })
+            })
+            .collect();
+        drop(warm_tx);
+        for _ in 0..handles.len() {
+            warm_rx
+                .recv()
+                .expect("every client has replies delivered before the drain");
         }
-        // Let the load ramp, then deliver SIGTERM mid-flight.
-        std::thread::sleep(Duration::from_millis(300));
         sigterm(&child);
+        let status = wait_with_deadline(&mut child, drain_timeout);
+        assert_eq!(status.code(), Some(0), "drain must exit 0");
         handles.into_iter().map(|h| h.join().unwrap()).sum()
     });
-    assert!(delivered > 0, "no responses delivered before the drain");
-
-    let mut child = child;
-    let status = wait_with_deadline(&mut child, Duration::from_secs(30));
-    assert_eq!(status.code(), Some(0), "drain must exit 0");
+    assert!(delivered >= 4 * WARM_REPLIES);
 }
 
 #[test]
@@ -128,13 +165,16 @@ fn interrupted_connection_mid_request_does_not_block_the_drain() {
     // A client that sends half a frame and stalls (slow loris) must
     // not hold the drain hostage: shutdown turns the stalled read into
     // a clean close and the process still exits 0 inside the bound.
-    let (child, addr) = start_server(&["--drain-timeout", "30"]);
+    let (child, addr, _) = start_server(&["--drain-timeout", "30"]);
     let mut stalled = TcpStream::connect(&addr).expect("connect");
+    // A ping round trip first: the connection's thread is then up and
+    // reading when the stall begins.
+    write_frame(&mut stalled, encode_ping_request().as_bytes()).unwrap();
+    assert!(read_frame(&mut stalled).unwrap().is_some(), "pong");
     // Frame header promising 1000 bytes, then silence.
     stalled.write_all(&1000u32.to_be_bytes()).unwrap();
     stalled.write_all(b"run v1\n").unwrap();
     stalled.flush().unwrap();
-    std::thread::sleep(Duration::from_millis(200));
     sigterm(&child);
     let mut child = child;
     let status = wait_with_deadline(&mut child, Duration::from_secs(30));
@@ -152,7 +192,7 @@ fn cache_dir_takes_a_single_writer_lock() {
     let dir = std::env::temp_dir().join(format!("dsa-drain-lock-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let dir_flag = dir.to_str().unwrap();
-    let (child, _addr) = start_server(&["--cache-dir", dir_flag]);
+    let (child, _, _) = start_server(&["--cache-dir", dir_flag]);
     // A second server on the same directory must fail fast — the lock
     // holder's PID is alive.
     let second = Command::new(SERVE_BIN)
@@ -168,7 +208,7 @@ fn cache_dir_takes_a_single_writer_lock() {
     let mut child = child;
     let status = wait_with_deadline(&mut child, Duration::from_secs(30));
     assert_eq!(status.code(), Some(0));
-    let (successor, _addr) = start_server(&["--cache-dir", dir_flag]);
+    let (successor, _, _) = start_server(&["--cache-dir", dir_flag]);
     sigterm(&successor);
     let mut successor = successor;
     let status = wait_with_deadline(&mut successor, Duration::from_secs(30));
