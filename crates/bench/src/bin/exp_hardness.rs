@@ -1,4 +1,7 @@
 //! E6–E9 — the Section 2–3 hardness results, executed.
+//!
+//! Every row's dichotomy is checked, not only printed: the process
+//! exits 1 after the tables if any row breaks its dichotomy.
 
 #![forbid(unsafe_code)]
 
@@ -22,6 +25,8 @@ use rand::SeedableRng;
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(6);
+    // Rows whose dichotomy failed, reported after every table printed.
+    let mut broken: Vec<String> = Vec::new();
 
     banner(
         "E6",
@@ -44,6 +49,10 @@ fn main() {
         let i = GConstruction::build(params, random_intersecting(params.input_len(), 1, &mut rng));
         let (dec_d, _, t_thresh) = decide_disjointness_by_spanner(&d, alpha);
         let (dec_i, forced, _) = decide_disjointness_by_spanner(&i, alpha);
+        let rule_correct = dec_d && !dec_i;
+        if !rule_correct {
+            broken.push(format!("E6 α = {alpha}: the decision rule erred"));
+        }
         t.row([
             f2(alpha),
             params.ell.to_string(),
@@ -53,7 +62,7 @@ fn main() {
             d.disjoint_spanner_bound().to_string(),
             forced.to_string(),
             f2(alpha * t_thresh),
-            (dec_d && !dec_i).to_string(),
+            rule_correct.to_string(),
         ]);
     }
     t.print();
@@ -114,6 +123,10 @@ fn main() {
         );
         let forced = f.forced_d_edges();
         let bound = params.beta * params.beta * params.ell * params.ell / 12;
+        let separated = forced as f64 > alpha * d.disjoint_spanner_bound_gap() as f64;
+        if !separated {
+            broken.push(format!("E7 α = {alpha}: the cases are not separated"));
+        }
         t.row([
             f2(alpha),
             params.ell.to_string(),
@@ -122,7 +135,7 @@ fn main() {
             d.disjoint_spanner_bound_gap().to_string(),
             forced.to_string(),
             bound.to_string(),
-            (forced as f64 > alpha * d.disjoint_spanner_bound_gap() as f64).to_string(),
+            separated.to_string(),
         ]);
     }
     t.print();
@@ -141,23 +154,35 @@ fn main() {
     for ell in [4usize, 8, 16] {
         let d = GwDirected::build(ell, random_disjoint(ell * ell, &mut rng));
         let i = GwDirected::build(ell, random_intersecting(ell * ell, 1, &mut rng));
+        let (zero_d, zero_i) = (d.zero_cost_spanner_exists(4), i.zero_cost_spanner_exists(4));
+        if !zero_d || zero_i {
+            broken.push(format!(
+                "E8 directed ℓ = {ell}: cost 0 does not track disjointness"
+            ));
+        }
         t.row([
             "directed".to_string(),
             ell.to_string(),
             "4".to_string(),
-            d.zero_cost_spanner_exists(4).to_string(),
-            i.zero_cost_spanner_exists(4).to_string(),
+            zero_d.to_string(),
+            zero_i.to_string(),
         ]);
     }
     for k in 4..=7usize {
         let d = GwUndirected::build(6, k, random_disjoint(36, &mut rng));
         let i = GwUndirected::build(6, k, random_intersecting(36, 1, &mut rng));
+        let (zero_d, zero_i) = (d.zero_cost_spanner_exists(), i.zero_cost_spanner_exists());
+        if !zero_d || zero_i {
+            broken.push(format!(
+                "E8 undirected k = {k}: cost 0 does not track disjointness"
+            ));
+        }
         t.row([
             "undirected".to_string(),
             "6".to_string(),
             k.to_string(),
-            d.zero_cost_spanner_exists().to_string(),
-            i.zero_cost_spanner_exists().to_string(),
+            zero_d.to_string(),
+            zero_i.to_string(),
         ]);
     }
     t.print();
@@ -185,6 +210,11 @@ fn main() {
         let (cover, normalized) = gs.spanner_to_cover(&run.spanner);
         assert!(is_vertex_cover(&g, &cover));
         assert!(spanner_cost(&normalized, &gs.weights) <= spanner_cost(&run.spanner, &gs.weights));
+        if vc_opt != span_opt {
+            broken.push(format!(
+                "E9 n = {n}: spanner optimum {span_opt} ≠ VC optimum {vc_opt}"
+            ));
+        }
         t.row([
             n.to_string(),
             g.num_edges().to_string(),
@@ -196,4 +226,11 @@ fn main() {
         ]);
     }
     t.print();
+
+    if !broken.is_empty() {
+        for b in &broken {
+            eprintln!("exp_hardness: BROKEN: {b}");
+        }
+        std::process::exit(1);
+    }
 }

@@ -883,14 +883,10 @@ mod tests {
 
     #[test]
     fn directed_engine_handles_antiparallel_pairs() {
-        let mut g = DiGraph::new(8);
-        for u in 0..8 {
-            for v in 0..8 {
-                if u != v {
-                    g.add_edge(u, v);
-                }
-            }
-        }
+        let g = DiGraph::from_edges(
+            8,
+            (0..8).flat_map(|u| (0..8).filter(move |&v| v != u).map(move |v| (u, v))),
+        );
         let run = min_2_spanner_directed(&g, &EngineConfig::seeded(2));
         assert!(run.converged);
         assert!(is_k_spanner_directed(&g, &run.spanner, 2));

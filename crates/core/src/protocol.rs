@@ -812,18 +812,10 @@ mod tests {
         // Wheel with cheap spokes and expensive rim: the protocol's
         // cost must be far below taking the rim.
         let n = 10;
-        let mut g = Graph::new(n);
-        let mut weights = Vec::new();
-        for u in 1..n {
-            g.add_edge(0, u);
-            weights.push(1);
-        }
-        for u in 1..n {
-            let next = if u == n - 1 { 1 } else { u + 1 };
-            g.ensure_edge(u, next);
-            weights.push(40);
-        }
-        let w = EdgeWeights::from_vec(weights);
+        let spokes = (1..n).map(|u| (0, u));
+        let rim = (1..n).map(|u| (u, if u == n - 1 { 1 } else { u + 1 }));
+        let g = Graph::from_edges(n, spokes.chain(rim));
+        let w = EdgeWeights::from_fn(g.num_edges(), |e| if e < n - 1 { 1 } else { 40 });
         let run = run_weighted_two_spanner_protocol(&g, &w, 3, 100_000);
         assert!(run.completed);
         assert!(is_k_spanner(&g, &run.spanner, 2));

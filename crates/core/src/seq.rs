@@ -556,14 +556,10 @@ mod tests {
 
     #[test]
     fn greedy_directed_valid_and_sparse_on_bidirected_complete() {
-        let mut g = DiGraph::new(8);
-        for u in 0..8 {
-            for v in 0..8 {
-                if u != v {
-                    g.add_edge(u, v);
-                }
-            }
-        }
+        let g = DiGraph::from_edges(
+            8,
+            (0..8).flat_map(|u| (0..8).filter(move |&v| v != u).map(move |v| (u, v))),
+        );
         let h = greedy_2_spanner_directed(&g);
         assert!(crate::verify::is_k_spanner_directed(&g, &h, 2));
         assert!(h.len() < g.num_edges() / 2, "got {}", h.len());

@@ -177,11 +177,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         let g = gen::gnp_connected(40, 0.2, &mut rng);
         let run = baswana_sen(&g, 3, 11);
-        let mut sg = Graph::new(g.num_vertices());
-        for e in run.spanner.iter() {
-            let (u, v) = g.endpoints(e);
-            sg.add_edge(u, v);
-        }
+        let sg = Graph::from_edges(g.num_vertices(), run.spanner.iter().map(|e| g.endpoints(e)));
         assert!(dsa_graphs::traversal::is_connected(&sg));
     }
 }

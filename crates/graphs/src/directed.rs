@@ -18,19 +18,15 @@ use crate::{EdgeId, Graph, VertexId};
 /// Out- and in-adjacency each live in contiguous offset/neighbor/edge-id
 /// arrays (see [`Graph`] for the layout rationale); a sorted copy of the
 /// out-neighbors backs binary-search [`DiGraph::edge_id`] lookup. As in
-/// the undirected case, [`DiGraph::add_edge`] rebuilds the arrays —
-/// O(n + m) per call — while [`DiGraph::from_edges`] builds once in
-/// bulk.
+/// the undirected case, a graph is built once, in bulk, by
+/// [`DiGraph::from_edges`].
 ///
 /// # Example
 ///
 /// ```
 /// use dsa_graphs::DiGraph;
 ///
-/// let mut g = DiGraph::new(3);
-/// g.add_edge(0, 1);
-/// g.add_edge(1, 2);
-/// g.add_edge(2, 0);
+/// let g = DiGraph::from_edges(3, [(0, 1), (1, 2), (2, 0)]);
 /// assert_eq!(g.out_degree(0), 1);
 /// assert_eq!(g.in_degree(0), 1);
 /// assert!(g.has_edge(0, 1));
@@ -196,14 +192,17 @@ impl DiGraph {
         0..self.num_vertices()
     }
 
-    /// Adds the directed edge `(u, v)` and returns its id.
+    /// Adds the directed edge `(u, v)` and returns its id: the
+    /// incremental builder the unit tests hold [`DiGraph::from_edges`]
+    /// equal to.
     ///
-    /// Rebuilds the CSR arrays: O(n + m) per call. Use
-    /// [`DiGraph::from_edges`] for bulk construction.
+    /// Rebuilds the CSR arrays, O(n + m) per call, so it is compiled
+    /// for this crate's tests only.
     ///
     /// # Panics
     ///
     /// Panics on self-loops, duplicates, or out-of-range endpoints.
+    #[cfg(test)]
     pub fn add_edge(&mut self, u: VertexId, v: VertexId) -> EdgeId {
         assert!(u != v, "self-loop ({u}, {v}) not allowed");
         assert!(

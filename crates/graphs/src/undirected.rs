@@ -24,23 +24,19 @@ use crate::{EdgeId, VertexId};
 /// Self-loops and parallel edges are rejected — the paper works with
 /// simple graphs throughout.
 ///
-/// Bulk construction via [`Graph::from_edges`] is O(n + m log Δ).
-/// [`Graph::add_edge`] on an existing graph rebuilds the CSR arrays,
-/// which is O(n + m) per call: fine for the small incremental builders
-/// in tests and gadget constructions, wrong for hot loops — build hot
-/// graphs in bulk.
+/// A graph is built once, in bulk, by [`Graph::from_edges`] in
+/// O(n + m log Δ); edge ids are the iterator's order. There is no
+/// public incremental insert: collect the edges first.
 ///
 /// # Example
 ///
 /// ```
 /// use dsa_graphs::Graph;
 ///
-/// let mut g = Graph::new(3);
-/// let e01 = g.add_edge(0, 1);
-/// let e12 = g.add_edge(1, 2);
+/// let g = Graph::from_edges(3, [(0, 1), (1, 2)]);
 /// assert_eq!(g.degree(1), 2);
-/// assert_eq!(g.edge_id(1, 0), Some(e01));
-/// assert_eq!(g.endpoints(e12), (1, 2));
+/// assert_eq!(g.edge_id(1, 0), Some(0));
+/// assert_eq!(g.endpoints(1), (1, 2));
 /// ```
 #[derive(Clone, Eq)]
 pub struct Graph {
@@ -76,8 +72,7 @@ impl Graph {
     }
 
     /// Creates a graph with `n` vertices from an edge iterator, in one
-    /// bulk CSR build — the right constructor for anything
-    /// performance-sensitive.
+    /// bulk CSR build; the iterator's `i`-th edge gets id `i`.
     ///
     /// # Panics
     ///
@@ -167,14 +162,16 @@ impl Graph {
         0..self.num_vertices()
     }
 
-    /// Adds an edge `{u, v}` and returns its id.
+    /// Adds an edge `{u, v}` and returns its id: the incremental
+    /// builder the unit tests hold [`Graph::from_edges`] equal to.
     ///
-    /// Rebuilds the CSR arrays: O(n + m) per call. Use
-    /// [`Graph::from_edges`] for bulk construction.
+    /// Rebuilds the CSR arrays, O(n + m) per call, so it is compiled
+    /// for this crate's tests only.
     ///
     /// # Panics
     ///
     /// Panics on self-loops, duplicate edges, or out-of-range endpoints.
+    #[cfg(test)]
     pub fn add_edge(&mut self, u: VertexId, v: VertexId) -> EdgeId {
         assert!(u != v, "self-loop {u}-{v} not allowed in a simple graph");
         assert!(
@@ -193,6 +190,7 @@ impl Graph {
     }
 
     /// Adds an edge if not already present; returns `(id, inserted)`.
+    #[cfg(test)]
     pub fn ensure_edge(&mut self, u: VertexId, v: VertexId) -> (EdgeId, bool) {
         match self.edge_id(u, v) {
             Some(id) => (id, false),

@@ -92,20 +92,23 @@ impl GConstruction {
             params.input_len(),
             "instance must have ℓ² bits"
         );
-        let mut g = DiGraph::new(params.num_vertices());
+        // Edge ids are push order; the graph is built once at the end.
+        let dense = ell * beta * ell * beta;
+        let mut edges = Vec::with_capacity(3 * ell + dense + 2 * ell * beta + 2 * ell * ell);
 
         // The matching X1 -> Y1.
         for i in 0..ell {
-            g.add_edge(params.x1(i), params.y1(i));
-            g.add_edge(params.x2(i), params.y2(i));
+            edges.push((params.x1(i), params.y1(i)));
+            edges.push((params.x2(i), params.y2(i)));
         }
-        // The dense component D: complete bipartite X2 -> Y2.
-        let mut d_ids = Vec::with_capacity(ell * beta * ell * beta);
+        // The dense component D: complete bipartite X2 -> Y2, one
+        // contiguous id range.
+        let d_start = edges.len();
         for i in 0..ell {
             for j in 0..beta {
                 for r in 0..ell {
                     for s in 0..beta {
-                        d_ids.push(g.add_edge(params.xg(i, j), params.yg(r, s)));
+                        edges.push((params.xg(i, j), params.yg(r, s)));
                     }
                 }
             }
@@ -113,31 +116,30 @@ impl GConstruction {
         // Grid attachments.
         for i in 0..ell {
             for j in 0..beta {
-                g.add_edge(params.xg(i, j), params.x1(i));
-                g.add_edge(params.y3(i), params.yg(i, j));
+                edges.push((params.xg(i, j), params.x1(i)));
+                edges.push((params.y3(i), params.yg(i, j)));
             }
-            g.add_edge(params.y2(i), params.y3(i));
+            edges.push((params.y2(i), params.y3(i)));
         }
         // Input edges: (x1_i -> x2_j) iff a_ij = 0; (y1_i -> y2_j) iff
         // b_ij = 0.
         for i in 0..ell {
             for j in 0..ell {
                 if !instance.a[i * ell + j] {
-                    g.add_edge(params.x1(i), params.x2(j));
+                    edges.push((params.x1(i), params.x2(j)));
                 }
                 if !instance.b[i * ell + j] {
-                    g.add_edge(params.y1(i), params.y2(j));
+                    edges.push((params.y1(i), params.y2(j)));
                 }
             }
         }
-        let mut d = EdgeSet::new(g.num_edges());
-        for e in d_ids {
-            d.insert(e);
-        }
+        let graph = DiGraph::from_edges(params.num_vertices(), edges);
+        let mut d_edges = EdgeSet::new(graph.num_edges());
+        d_edges.insert_range(d_start, d_start + dense);
         GConstruction {
             params,
-            graph: g,
-            d_edges: d,
+            graph,
+            d_edges,
             instance,
         }
     }

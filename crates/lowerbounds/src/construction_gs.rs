@@ -10,7 +10,9 @@
 //! and both directions of the translation are constructive — this
 //! module implements them and the round-trip is property-tested.
 
-use dsa_graphs::{EdgeSet, EdgeWeights, Graph, VertexId};
+use dsa_graphs::{DiGraph, EdgeSet, EdgeWeights, Graph, VertexId};
+
+use crate::weights_of;
 
 /// The built reduction instance.
 #[derive(Clone, Debug)]
@@ -40,31 +42,24 @@ impl GsConstruction {
     /// Builds `G_S` from an MVC instance.
     pub fn build(original: &Graph) -> GsConstruction {
         let n = original.num_vertices();
-        let mut g = Graph::new(3 * n);
-        let mut w = Vec::new();
+        let mut edges = Vec::with_capacity(3 * n + 3 * original.num_edges());
         // Triangles.
         for v in 0..n {
-            g.add_edge(Self::v1(v), Self::v2(v));
-            w.push(1);
-            g.add_edge(Self::v1(v), Self::v3(v));
-            w.push(0);
-            g.add_edge(Self::v2(v), Self::v3(v));
-            w.push(0);
+            edges.push((Self::v1(v), Self::v2(v), 1));
+            edges.push((Self::v1(v), Self::v3(v), 0));
+            edges.push((Self::v2(v), Self::v3(v), 0));
         }
         // Edge gadgets.
         for (_, a, b) in original.edges() {
             let (v, u) = (a.min(b), a.max(b)); // id order picks the diagonal
-            g.add_edge(Self::v1(v), Self::v1(u));
-            w.push(0);
-            g.add_edge(Self::v2(v), Self::v2(u));
-            w.push(0);
-            g.add_edge(Self::v1(v), Self::v2(u));
-            w.push(2);
+            edges.push((Self::v1(v), Self::v1(u), 0));
+            edges.push((Self::v2(v), Self::v2(u), 0));
+            edges.push((Self::v1(v), Self::v2(u), 2));
         }
         GsConstruction {
             original: original.clone(),
-            graph: g,
-            weights: EdgeWeights::from_vec(w),
+            graph: Graph::from_edges(3 * n, edges.iter().map(|&(x, y, _)| (x, y))),
+            weights: weights_of(&edges),
         }
     }
 
@@ -163,7 +158,7 @@ pub struct GsDirected {
     /// The original MVC instance.
     pub original: Graph,
     /// The directed reduction graph on `3n` vertices.
-    pub graph: dsa_graphs::DiGraph,
+    pub graph: DiGraph,
     /// Weights in `{0, 1, 2}`.
     pub weights: EdgeWeights,
 }
@@ -172,15 +167,11 @@ impl GsDirected {
     /// Builds the directed reduction graph.
     pub fn build(original: &Graph) -> GsDirected {
         let n = original.num_vertices();
-        let mut g = dsa_graphs::DiGraph::new(3 * n);
-        let mut w = Vec::new();
+        let mut edges = Vec::with_capacity(3 * n + 5 * original.num_edges());
         for v in 0..n {
-            g.add_edge(GsConstruction::v1(v), GsConstruction::v2(v));
-            w.push(1);
-            g.add_edge(GsConstruction::v1(v), GsConstruction::v3(v));
-            w.push(0);
-            g.add_edge(GsConstruction::v3(v), GsConstruction::v2(v));
-            w.push(0);
+            edges.push((GsConstruction::v1(v), GsConstruction::v2(v), 1));
+            edges.push((GsConstruction::v1(v), GsConstruction::v3(v), 0));
+            edges.push((GsConstruction::v3(v), GsConstruction::v2(v), 0));
         }
         for (_, a, b) in original.edges() {
             let (v, u) = (a.min(b), a.max(b));
@@ -190,16 +181,14 @@ impl GsDirected {
                 (GsConstruction::v2(v), GsConstruction::v2(u)),
                 (GsConstruction::v2(u), GsConstruction::v2(v)),
             ] {
-                g.add_edge(x, y);
-                w.push(0);
+                edges.push((x, y, 0));
             }
-            g.add_edge(GsConstruction::v1(v), GsConstruction::v2(u));
-            w.push(2);
+            edges.push((GsConstruction::v1(v), GsConstruction::v2(u), 2));
         }
         GsDirected {
             original: original.clone(),
-            graph: g,
-            weights: EdgeWeights::from_vec(w),
+            graph: DiGraph::from_edges(3 * n, edges.iter().map(|&(x, y, _)| (x, y))),
+            weights: weights_of(&edges),
         }
     }
 

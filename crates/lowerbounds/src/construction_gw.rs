@@ -7,10 +7,72 @@
 //! Theorems 2.9 (directed, k ≥ 4) and 2.10 (undirected, with a path
 //! gadget stretching the construction to any k ≥ 4) work.
 
+use std::ops::Range;
+
 use dsa_graphs::traversal::{bfs_distances_directed, bfs_distances_in};
-use dsa_graphs::{DiGraph, EdgeSet, EdgeWeights, Graph, VertexId};
+use dsa_graphs::{DiGraph, EdgeId, EdgeSet, EdgeWeights, Graph, VertexId};
 
 use crate::disjointness::Instance;
+use crate::weights_of;
+
+/// The vertex layout both constructions share: `x¹_i = i`,
+/// `x²_i = ℓ+i`, `y¹_i = 2ℓ+i`, `y²_i = 3ℓ+i`, `x_i = 4ℓ+i`,
+/// `y_i = 5ℓ+i`. The undirected construction appends its path-gadget
+/// vertices after these `6ℓ`.
+#[derive(Clone, Copy)]
+struct Layout {
+    ell: usize,
+}
+
+impl Layout {
+    fn x1(self, i: usize) -> VertexId {
+        i
+    }
+    fn x2(self, i: usize) -> VertexId {
+        self.ell + i
+    }
+    fn y1(self, i: usize) -> VertexId {
+        2 * self.ell + i
+    }
+    fn y2(self, i: usize) -> VertexId {
+        3 * self.ell + i
+    }
+    fn x_leaf(self, i: usize) -> VertexId {
+        4 * self.ell + i
+    }
+    fn y_leaf(self, i: usize) -> VertexId {
+        5 * self.ell + i
+    }
+
+    /// Appends the dense component `x_i → y_j` (weight 1) and then the
+    /// input edges `x¹_i → x²_j` iff `a_ij = 0` and `y¹_i → y²_j` iff
+    /// `b_ij = 0` (weight 0). Returns the dense component's id range.
+    fn push_dense_and_input_edges(
+        self,
+        edges: &mut Vec<(VertexId, VertexId, u64)>,
+        instance: &Instance,
+    ) -> Range<EdgeId> {
+        let ell = self.ell;
+        let start = edges.len();
+        for i in 0..ell {
+            for j in 0..ell {
+                edges.push((self.x_leaf(i), self.y_leaf(j), 1));
+            }
+        }
+        let dense = start..edges.len();
+        for i in 0..ell {
+            for j in 0..ell {
+                if !instance.a[i * ell + j] {
+                    edges.push((self.x1(i), self.x2(j), 0));
+                }
+                if !instance.b[i * ell + j] {
+                    edges.push((self.y1(i), self.y2(j), 0));
+                }
+            }
+        }
+        dense
+    }
+}
 
 /// The directed weighted construction `G_w(ℓ)` of Theorem 2.9.
 #[derive(Clone, Debug)]
@@ -29,30 +91,34 @@ pub struct GwDirected {
 }
 
 impl GwDirected {
+    fn layout(&self) -> Layout {
+        Layout { ell: self.ell }
+    }
+
     /// Vertex ids: `x¹_i = i`, `x²_i = ℓ+i`, `y¹_i = 2ℓ+i`,
     /// `y²_i = 3ℓ+i`, `x_i = 4ℓ+i`, `y_i = 5ℓ+i`.
     pub fn x1(&self, i: usize) -> VertexId {
-        i
+        self.layout().x1(i)
     }
     /// See [`GwDirected::x1`].
     pub fn x2(&self, i: usize) -> VertexId {
-        self.ell + i
+        self.layout().x2(i)
     }
     /// See [`GwDirected::x1`].
     pub fn y1(&self, i: usize) -> VertexId {
-        2 * self.ell + i
+        self.layout().y1(i)
     }
     /// See [`GwDirected::x1`].
     pub fn y2(&self, i: usize) -> VertexId {
-        3 * self.ell + i
+        self.layout().y2(i)
     }
     /// See [`GwDirected::x1`].
     pub fn x_leaf(&self, i: usize) -> VertexId {
-        4 * self.ell + i
+        self.layout().x_leaf(i)
     }
     /// See [`GwDirected::x1`].
     pub fn y_leaf(&self, i: usize) -> VertexId {
-        5 * self.ell + i
+        self.layout().y_leaf(i)
     }
 
     /// Builds `G_w(ℓ)` for an instance with `ℓ²` bits.
@@ -62,56 +128,22 @@ impl GwDirected {
     /// Panics if the instance length is not `ℓ²`.
     pub fn build(ell: usize, instance: Instance) -> GwDirected {
         assert_eq!(instance.len(), ell * ell, "instance must have ℓ² bits");
-        let mut g = DiGraph::new(6 * ell);
-        let mut weights = Vec::new();
-        let mut d_ids = Vec::new();
-        let this = |i: usize| i; // x1
-        let _ = this;
-        // Helper closures need the final ids; inline the layout.
-        let x1 = |i: usize| i;
-        let x2 = |i: usize| ell + i;
-        let y1 = |i: usize| 2 * ell + i;
-        let y2 = |i: usize| 3 * ell + i;
-        let xl = |i: usize| 4 * ell + i;
-        let yl = |i: usize| 5 * ell + i;
-
+        let at = Layout { ell };
+        let mut edges = Vec::with_capacity(4 * ell + 3 * ell * ell);
         for i in 0..ell {
-            g.add_edge(x1(i), y1(i));
-            weights.push(0);
-            g.add_edge(x2(i), y2(i));
-            weights.push(0);
-            g.add_edge(xl(i), x1(i));
-            weights.push(0);
-            g.add_edge(y2(i), yl(i));
-            weights.push(0);
+            edges.push((at.x1(i), at.y1(i), 0));
+            edges.push((at.x2(i), at.y2(i), 0));
+            edges.push((at.x_leaf(i), at.x1(i), 0));
+            edges.push((at.y2(i), at.y_leaf(i), 0));
         }
-        for i in 0..ell {
-            for j in 0..ell {
-                let e = g.add_edge(xl(i), yl(j));
-                weights.push(1);
-                d_ids.push(e);
-            }
-        }
-        for i in 0..ell {
-            for j in 0..ell {
-                if !instance.a[i * ell + j] {
-                    g.add_edge(x1(i), x2(j));
-                    weights.push(0);
-                }
-                if !instance.b[i * ell + j] {
-                    g.add_edge(y1(i), y2(j));
-                    weights.push(0);
-                }
-            }
-        }
-        let mut d_edges = EdgeSet::new(g.num_edges());
-        for e in d_ids {
-            d_edges.insert(e);
-        }
+        let dense = at.push_dense_and_input_edges(&mut edges, &instance);
+        let graph = DiGraph::from_edges(6 * ell, edges.iter().map(|&(u, v, _)| (u, v)));
+        let mut d_edges = EdgeSet::new(graph.num_edges());
+        d_edges.insert_range(dense.start, dense.end);
         GwDirected {
             ell,
-            graph: g,
-            weights: EdgeWeights::from_vec(weights),
+            graph,
+            weights: weights_of(&edges),
             d_edges,
             instance,
         }
@@ -189,65 +221,33 @@ impl GwUndirected {
         assert_eq!(instance.len(), ell * ell, "instance must have ℓ² bits");
         // Layout: the 6ℓ base vertices, then (k-4)·ℓ path gadget
         // vertices appended.
+        let at = Layout { ell };
         let base = 6 * ell;
         let gadget_len = k - 4; // intermediate vertices on each path
         let n = base + gadget_len * ell;
-        let mut g = Graph::new(n);
-        let mut weights = Vec::new();
-        let mut d_ids = Vec::new();
-        let x1 = |i: usize| i;
-        let x2 = |i: usize| ell + i;
-        let y1 = |i: usize| 2 * ell + i;
-        let y2 = |i: usize| 3 * ell + i;
-        let xl = |i: usize| 4 * ell + i;
-        let yl = |i: usize| 5 * ell + i;
         let mid = |i: usize, t: usize| base + i * gadget_len + t;
-
+        let mut edges = Vec::with_capacity((4 + gadget_len) * ell + 3 * ell * ell);
         for i in 0..ell {
-            g.add_edge(x1(i), y1(i));
-            weights.push(0);
-            g.add_edge(x2(i), y2(i));
-            weights.push(0);
-            g.add_edge(xl(i), x1(i));
-            weights.push(0);
+            edges.push((at.x1(i), at.y1(i), 0));
+            edges.push((at.x2(i), at.y2(i), 0));
+            edges.push((at.x_leaf(i), at.x1(i), 0));
             // Path of length k-3 from y2_i to y_i.
-            let mut prev = y2(i);
+            let mut prev = at.y2(i);
             for t in 0..gadget_len {
-                g.add_edge(prev, mid(i, t));
-                weights.push(0);
+                edges.push((prev, mid(i, t), 0));
                 prev = mid(i, t);
             }
-            g.add_edge(prev, yl(i));
-            weights.push(0);
+            edges.push((prev, at.y_leaf(i), 0));
         }
-        for i in 0..ell {
-            for j in 0..ell {
-                let e = g.add_edge(xl(i), yl(j));
-                weights.push(1);
-                d_ids.push(e);
-            }
-        }
-        for i in 0..ell {
-            for j in 0..ell {
-                if !instance.a[i * ell + j] {
-                    g.add_edge(x1(i), x2(j));
-                    weights.push(0);
-                }
-                if !instance.b[i * ell + j] {
-                    g.add_edge(y1(i), y2(j));
-                    weights.push(0);
-                }
-            }
-        }
-        let mut d_edges = EdgeSet::new(g.num_edges());
-        for e in d_ids {
-            d_edges.insert(e);
-        }
+        let dense = at.push_dense_and_input_edges(&mut edges, &instance);
+        let graph = Graph::from_edges(n, edges.iter().map(|&(u, v, _)| (u, v)));
+        let mut d_edges = EdgeSet::new(graph.num_edges());
+        d_edges.insert_range(dense.start, dense.end);
         GwUndirected {
             ell,
             k,
-            graph: g,
-            weights: EdgeWeights::from_vec(weights),
+            graph,
+            weights: weights_of(&edges),
             d_edges,
             instance,
         }
@@ -265,11 +265,10 @@ impl GwUndirected {
             }
             s
         };
-        let xl = |i: usize| 4 * self.ell + i;
-        let yl = |i: usize| 5 * self.ell + i;
+        let at = Layout { ell: self.ell };
         (0..self.ell).all(|i| {
-            let dist = bfs_distances_in(&self.graph, xl(i), Some(&zero), self.k);
-            (0..self.ell).all(|j| matches!(dist[yl(j)], Some(d) if d <= self.k))
+            let dist = bfs_distances_in(&self.graph, at.x_leaf(i), Some(&zero), self.k);
+            (0..self.ell).all(|j| matches!(dist[at.y_leaf(j)], Some(d) if d <= self.k))
         })
     }
 }

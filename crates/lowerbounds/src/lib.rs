@@ -27,3 +27,11 @@ pub mod construction_gw;
 pub mod disjointness;
 pub mod two_party;
 pub mod vc;
+
+use dsa_graphs::{EdgeWeights, VertexId};
+
+/// The weights of a construction's edges listed as `(u, v, weight)`,
+/// in list order, which is edge-id order.
+fn weights_of(edges: &[(VertexId, VertexId, u64)]) -> EdgeWeights {
+    EdgeWeights::from_vec(edges.iter().map(|&(_, _, w)| w).collect())
+}

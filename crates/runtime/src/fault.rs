@@ -28,7 +28,7 @@
 //! fires. The serving stack's points are documented in the README's
 //! Operations section: `store.append.err`, `store.append.short`,
 //! `store.append.corrupt`, `store.read.err`, `engine.abort`,
-//! `engine.latency_ms`, `conn.drop`.
+//! `engine.panic`, `engine.latency_ms`, `conn.drop`.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -629,6 +629,7 @@ pub fn job_error_status_code(e: &JobError) -> (u16, &'static str) {
         JobError::Invalid(_) => (422, "invalid"),
         JobError::Cancelled => (503, "cancelled"),
         JobError::TimedOut => (504, "timed_out"),
+        JobError::Panicked(_) => (500, "panicked"),
         JobError::Busy { .. } => (429, "busy"),
         JobError::Protocol(_) => (400, "bad_request"),
         JobError::Io(_) => (500, "io"),
@@ -710,7 +711,11 @@ pub const STATUS_TABLE: &[(u16, &str, &str)] = &[
         "`head_too_large`",
         "header section larger than the request-head bound",
     ),
-    (500, "`internal`, `io`", "unexpected server-side failure"),
+    (
+        500,
+        "`internal`, `io`, `panicked`",
+        "unexpected server-side failure; `panicked`: the engine run panicked",
+    ),
     (
         501,
         "`not_implemented`",
@@ -2307,6 +2312,7 @@ mod tests {
             JobError::Invalid("x".into()),
             JobError::Cancelled,
             JobError::TimedOut,
+            JobError::Panicked("x".into()),
             JobError::Busy { retry_after_ms: 1 },
             JobError::Protocol("x".into()),
             JobError::Io("x".into()),

@@ -249,9 +249,9 @@ pub(crate) fn validate_config(config: &EngineConfig) -> Result<(), JobError> {
     Ok(())
 }
 
-/// Why a job failed. Execution itself cannot fail (the engine is
-/// total); failures are rejections, cancellations, deadlines, and —
-/// for remote submissions — transport problems.
+/// Why a job failed: a rejection, a cancellation, a deadline, an
+/// engine run that panicked, or — for remote submissions — a transport
+/// problem.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobError {
     /// The spec failed validation before being queued.
@@ -262,6 +262,10 @@ pub enum JobError {
     /// run, if already started, still completes and populates the
     /// cache; only this wait gives up.
     TimedOut,
+    /// The engine run panicked; the message is the panic's. The worker
+    /// survives and nothing was cached, but an engine fault repeats on
+    /// the same job, so clients do not retry it.
+    Panicked(String),
     /// The service shed the job at admission (queue depth or byte
     /// budget exhausted). Safe to retry after the hinted delay:
     /// responses are byte-deterministic, so a retried job returns
@@ -285,6 +289,7 @@ impl std::fmt::Display for JobError {
             JobError::Invalid(m) => write!(f, "invalid job: {m}"),
             JobError::Cancelled => write!(f, "job cancelled"),
             JobError::TimedOut => write!(f, "job timed out"),
+            JobError::Panicked(m) => write!(f, "engine run panicked: {m}"),
             JobError::Busy { retry_after_ms } => {
                 write!(f, "server busy: retry after {retry_after_ms}ms")
             }

@@ -56,6 +56,7 @@ pub(crate) struct ServiceMetrics {
     completed: AtomicU64,
     skipped: AtomicU64,
     aborted: AtomicU64,
+    panicked: AtomicU64,
     cancelled: AtomicU64,
     timed_out: AtomicU64,
     invalid: AtomicU64,
@@ -136,6 +137,7 @@ impl ServiceMetrics {
             completed: AtomicU64::new(0),
             skipped: AtomicU64::new(0),
             aborted: AtomicU64::new(0),
+            panicked: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
             timed_out: AtomicU64::new(0),
             invalid: AtomicU64::new(0),
@@ -303,6 +305,12 @@ impl ServiceMetrics {
         self.aborted.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// An engine run panicked; its waiters got an error and its worker
+    /// went on to the next job.
+    pub fn on_panicked(&self) {
+        self.panicked.fetch_add(1, Ordering::Relaxed);
+    }
+
     pub fn on_executed(&self, iterations: u64, local_rounds: u64, latency: Duration) {
         self.engine_iterations
             .fetch_add(iterations, Ordering::Relaxed);
@@ -353,6 +361,7 @@ impl ServiceMetrics {
             latency_hist_count: hist.total,
             skipped: self.skipped.load(Ordering::Relaxed),
             aborted: self.aborted.load(Ordering::Relaxed),
+            panicked: self.panicked.load(Ordering::Relaxed),
             cancelled: self.cancelled.load(Ordering::Relaxed),
             timed_out: self.timed_out.load(Ordering::Relaxed),
             invalid: self.invalid.load(Ordering::Relaxed),
@@ -453,6 +462,10 @@ pub struct MetricsSnapshot {
     /// cancelled (cooperative in-engine cancellation; nothing is
     /// cached).
     pub aborted: u64,
+    /// Engine runs that panicked: their waiters got
+    /// [`crate::JobError::Panicked`], nothing was cached, and the
+    /// worker went on serving.
+    pub panicked: u64,
     /// Handle cancellations.
     pub cancelled: u64,
     /// Waits that hit their deadline.
@@ -494,7 +507,8 @@ impl MetricsSnapshot {
                 "\"cache_hits\":{},\"cache_misses\":{},\"coalesced\":{},\"jobs_shed\":{},",
                 "\"disk_hits\":{},\"store_records\":{},\"store_records_dropped\":{},",
                 "\"store_degraded\":{},\"connections_timed_out\":{},",
-                "\"skipped\":{},\"aborted\":{},\"cancelled\":{},\"timed_out\":{},\"invalid\":{},",
+                "\"skipped\":{},\"aborted\":{},\"panicked\":{},\"cancelled\":{},",
+                "\"timed_out\":{},\"invalid\":{},",
                 "\"cache_hit_rate\":{:.6},\"throughput_jobs_per_sec\":{:.3},",
                 "\"p50_latency_us\":{},\"p95_latency_us\":{},\"mean_latency_us\":{:.1},",
                 "\"latency_bucket_counts\":[{}],\"latency_hist_sum_us\":{},",
@@ -519,6 +533,7 @@ impl MetricsSnapshot {
             self.connections_timed_out,
             self.skipped,
             self.aborted,
+            self.panicked,
             self.cancelled,
             self.timed_out,
             self.invalid,
@@ -637,6 +652,12 @@ impl MetricsSnapshot {
             "counter",
             "Started engine runs abandoned mid-flight after every waiter cancelled.",
             &plain(self.aborted),
+        );
+        metric(
+            "jobs_panicked_total",
+            "counter",
+            "Engine runs that panicked; their waiters got an error and the worker served on.",
+            &plain(self.panicked),
         );
         metric(
             "jobs_cancelled_total",
@@ -945,6 +966,7 @@ mod tests {
         m.on_coalesced();
         m.on_shed();
         m.on_delivered();
+        m.on_panicked();
         m.on_connection_timed_out();
         m.set_store_records(1);
         m.set_store_dropped(2);
@@ -1005,6 +1027,7 @@ mod tests {
         assert!(text.contains("spanner_store_records_dropped_total 2\n"));
         assert!(text.contains("spanner_store_degraded 1\n"));
         assert!(text.contains("spanner_connections_timed_out_total 1\n"));
+        assert!(text.contains("spanner_jobs_panicked_total 1\n"));
         assert!(text.contains("le=\"+Inf\""));
 
         // Graph metrics: the live gauge precedes the per-class delta

@@ -56,13 +56,19 @@
 //! completes and populates the cache for future submissions (a
 //! deadline is not a cancellation).
 //!
+//! Engine panics: a run that panics is caught on its worker. Its
+//! waiters get [`JobError::Panicked`], its in-flight entry is retired,
+//! nothing is cached or stored, and the worker takes the next job.
+//!
 //! Sharded execution: [`ServiceConfig::engine_shards`] lets the
 //! operator override [`dsa_core::dist::EngineConfig::num_shards`] for
 //! every executed run. This is legal precisely because the engine's
 //! result is bit-identical for every shard count — execution policy
 //! never leaks into cached bytes.
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
@@ -121,8 +127,8 @@ pub struct ServiceConfig {
     pub cache_dir: Option<PathBuf>,
     /// Deterministic fault injector for chaos testing
     /// ([`dsa_runtime::fault`]). `None` (the default) never faults.
-    /// Injection can delay or abort engine runs, fail store I/O, and
-    /// drop connections — it can never change response bytes.
+    /// Injection can delay, abort or panic engine runs, fail store I/O,
+    /// and drop connections — it can never change response bytes.
     pub fault: Option<Arc<FaultInjector>>,
     /// Per-connection read deadline applied by the TCP and HTTP
     /// frontends: once the first byte of a request (or frame) has
@@ -202,6 +208,8 @@ struct Inflight {
 struct InflightState {
     result: Option<Arc<SpannerRun>>,
     skipped: bool,
+    /// The panic message of a run that panicked.
+    panicked: Option<String>,
 }
 
 /// A cached result together with the job identity it answers, checked
@@ -635,9 +643,46 @@ impl Service {
                     entry.abort.store(true, Ordering::SeqCst);
                 }
                 // A miss is the one place the engine's graph is built.
-                let instance = entry.instance.instance();
-                let t0 = Instant::now();
-                let (run, phases) = run_variant_timed(&instance, &config);
+                // A panic in the build or the run costs this job, not
+                // the worker: its waiters get the panic as an error,
+                // nothing is cached or stored, and the in-flight entry
+                // is retired, so a resubmission runs afresh instead of
+                // joining a run that will never finish.
+                let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                    let instance = entry.instance.instance();
+                    if fault.fire("engine.panic") {
+                        panic!("injected fault: engine.panic"); // dsa-lint: allow(DSA-P002, reason="chaos fault point, raised inside the unwind guard it exercises")
+                    }
+                    let t0 = Instant::now();
+                    let (run, phases) = run_variant_timed(&instance, &config);
+                    (run, phases, t0)
+                }));
+                let (run, phases, t0) = match outcome {
+                    Ok(done) => done,
+                    Err(payload) => {
+                        // Counted and logged before the waiters wake,
+                        // so a caller that saw the error sees the count.
+                        let message = panic_message(payload.as_ref());
+                        retire(&mut shared.inflight.lock());
+                        shared.metrics.on_panicked();
+                        let key = format!("{key:016x}");
+                        obs::error(
+                            "dsa-service",
+                            "engine run panicked; the job failed and the worker serves on",
+                            &[("key", &key), ("panic", &message)],
+                        );
+                        shared.flight.event(
+                            trace_id,
+                            "job.panicked",
+                            vec![("panic".to_string(), message.clone())],
+                        );
+                        let mut state = entry.state.lock();
+                        state.panicked = Some(message);
+                        drop(state);
+                        entry.done.notify_all();
+                        return;
+                    }
+                };
                 let run = Arc::new(run);
                 if run.cancelled {
                     // Mid-flight abort: every waiter is gone (the flag is
@@ -836,6 +881,18 @@ impl Service {
     }
 }
 
+/// The message of a caught panic: its `&str` or `String` payload, as
+/// `panic!` produces.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => (*s).to_string(),
+        None => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "non-string panic payload".to_string()),
+    }
+}
+
 enum HandleSource {
     /// Served from cache at submission time.
     Ready(Arc<SpannerRun>),
@@ -887,6 +944,9 @@ impl JobHandle {
                         // misuse of a cloned key; a live waiter keeps
                         // the run scheduled.
                         return Err(JobError::Cancelled);
+                    }
+                    if let Some(message) = &state.panicked {
+                        return Err(JobError::Panicked(message.clone()));
                     }
                     match deadline {
                         None => state = state.wait_on(&entry.done),
@@ -1102,6 +1162,63 @@ mod tests {
         next.timeout = deadline;
         assert!(service.run(&next).unwrap().converged);
         assert_eq!(service.metrics().jobs_completed, 3);
+    }
+
+    #[test]
+    fn engine_panic_costs_one_job_not_the_worker() {
+        // A plan whose `engine.panic` point fires on the first run only:
+        // decisions are a pure function of (seed, point, arrival), so a
+        // probe injector on the same plan finds such a seed.
+        let plan = |seed: u64| {
+            dsa_runtime::FaultPlan::parse(&format!("seed={seed};engine.panic=0.2")).unwrap()
+        };
+        let seed = (0..)
+            .find(|&seed| {
+                let probe = FaultInjector::new(plan(seed));
+                probe.fire("engine.panic") && (0..8).all(|_| !probe.fire("engine.panic"))
+            })
+            .unwrap();
+        let service = Service::new(&ServiceConfig {
+            workers: 1,
+            fault: Some(Arc::new(FaultInjector::new(plan(seed)))),
+            ..ServiceConfig::default()
+        });
+        // A dead worker never answers; the deadline turns that into a
+        // failure instead of a hang.
+        let deadline = Some(Duration::from_secs(60));
+        let mut faulted = undirected_spec(24, 0.25, 30, 1);
+        faulted.timeout = deadline;
+        let mut unrelated = undirected_spec(10, 0.5, 9, 1);
+        unrelated.timeout = deadline;
+
+        match service.run(&faulted) {
+            Err(JobError::Panicked(message)) => {
+                assert!(message.contains("engine.panic"), "{message}")
+            }
+            other => panic!("expected the injected panic, got {other:?}"),
+        }
+        // The worker survived and nothing was cached or left in flight:
+        // the same job runs afresh, and both it and an unrelated job
+        // are served byte-identically to a fault-free service.
+        let reference = Service::new(&ServiceConfig::default());
+        for spec in [&faulted, &unrelated] {
+            let served = service.run(spec).unwrap();
+            let expected = reference.run(spec).unwrap();
+            assert_eq!(
+                crate::wire::encode_run_response(&served),
+                crate::wire::encode_run_response(&expected)
+            );
+        }
+        let m = service.metrics();
+        assert_eq!(m.panicked, 1);
+        assert_eq!((m.cache_misses, m.cache_hits, m.coalesced), (3, 0, 0));
+        assert_eq!(
+            m.jobs_submitted,
+            m.cache_hits + m.cache_misses + m.coalesced + m.shed
+        );
+        assert_eq!(m.jobs_completed, 2);
+        assert_eq!(m.timed_out, 0);
+        assert_eq!(m.in_flight, 0);
     }
 
     #[test]

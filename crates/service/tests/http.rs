@@ -18,7 +18,7 @@ use dsa_core::dist::VariantInstance;
 use dsa_graphs::gen;
 use dsa_runtime::json::Json;
 use dsa_service::http::{self, HttpClient, MAX_BODY};
-use dsa_service::{HttpServer, JobSpec, Server, Service, ServiceConfig};
+use dsa_service::{HttpServer, JobError, JobSpec, RetryPolicy, Server, Service, ServiceConfig};
 
 fn start_server() -> HttpServer {
     HttpServer::start("127.0.0.1:0", &ServiceConfig::default()).expect("bind http server")
@@ -607,4 +607,42 @@ fn error_bodies_carry_the_stable_code_field() {
         String::from_utf8_lossy(&resp)
     );
     client.healthz().expect("healthz after error parade");
+}
+
+#[test]
+fn panicked_runs_fail_fast_on_both_surfaces() {
+    // Every run panics. Each surface answers with its own error shape
+    // (HTTP 500 with code `panicked`, a TCP error frame), the retrying
+    // clients give up at once, and the one worker keeps answering.
+    let plan = dsa_runtime::FaultPlan::parse("seed=1;engine.panic=1.0").unwrap();
+    let service = Arc::new(Service::new(&ServiceConfig {
+        workers: 1,
+        fault: Some(Arc::new(dsa_runtime::FaultInjector::new(plan))),
+        ..ServiceConfig::default()
+    }));
+    let tcp = Server::with_service("127.0.0.1:0", Arc::clone(&service)).expect("tcp server");
+    let http_srv = HttpServer::with_service("127.0.0.1:0", Arc::clone(&service)).expect("http");
+    let policy = RetryPolicy::new(3);
+    let spec = undirected_spec(16, 0.3, 7, 1);
+
+    let mut wire_client = dsa_service::Client::connect(tcp.addr()).expect("tcp connect");
+    match wire_client.run_with_retry(&spec, &policy) {
+        Err(JobError::Remote(m)) => assert!(m.contains("engine run panicked"), "{m}"),
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    let mut http_client = HttpClient::connect(http_srv.addr()).expect("http connect");
+    match http_client.run_with_retry(&spec, &policy) {
+        Err(JobError::Remote(m)) => assert!(m.starts_with("HTTP 500"), "{m}"),
+        other => panic!("expected HTTP 500, got {other:?}"),
+    }
+    let (status, body) = http_client.run_raw(&spec).expect("post");
+    assert_eq!(status, 500);
+    let text = String::from_utf8_lossy(&body);
+    assert!(text.contains(r#""code":"panicked""#), "{text}");
+
+    // One run per attempt, none retried, none cached.
+    let m = service.metrics();
+    assert_eq!((m.panicked, m.cache_misses, m.jobs_submitted), (3, 3, 3));
+    wire_client.ping().expect("tcp ping");
+    http_client.healthz().expect("healthz");
 }

@@ -25,24 +25,30 @@ fn main() {
     let cores = 8;
     let switches = 60;
     let n = cores + switches;
-    let mut g = Graph::new(n);
+    let mut edges = Vec::new();
     // Dense core.
     for a in 0..cores {
         for b in (a + 1)..cores {
-            g.add_edge(a, b);
+            edges.push((a, b));
         }
     }
-    // Each switch attaches to 2-3 random cores; nearby switches peer.
+    // Each switch attaches to 2-3 distinct random cores; nearby
+    // switches peer.
     for s in cores..n {
         let k = rng.gen_range(2..=3);
-        while g.degree(s) < k {
+        let mut attached = Vec::with_capacity(k);
+        while attached.len() < k {
             let c = rng.gen_range(0..cores);
-            g.ensure_edge(s, c);
+            if !attached.contains(&c) {
+                attached.push(c);
+                edges.push((s, c));
+            }
         }
         if s > cores && rng.gen_bool(0.5) {
-            g.ensure_edge(s, s - 1);
+            edges.push((s, s - 1));
         }
     }
+    let g = Graph::from_edges(n, edges);
     println!(
         "topology: n = {n}, m = {}, Δ = {}",
         g.num_edges(),
