@@ -740,89 +740,6 @@ pub fn min_2_spanner_client_server(
     run_engine(&ClientServerTwoSpanner::new(g, clients, servers), cfg)
 }
 
-// ---------------------------------------------------------------------
-// Incremental maintenance (named long-lived graphs).
-// ---------------------------------------------------------------------
-
-/// Classification of a batch of newly inserted items against a
-/// maintained cover, produced by [`plan_insertions`]: an item either
-/// *commutes* with the cover (it is already covered within stretch 2,
-/// or is not a target at all, so no spanner work is needed) or it is
-/// genuinely uncovered and needs a local repair or a recompute.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MaintenancePlan {
-    /// Inserted items already covered by the cover (or non-targets):
-    /// the insertion commutes — the cover is still a valid 2-spanner.
-    pub commuted: Vec<usize>,
-    /// Inserted target items the cover does not reach within stretch 2.
-    pub uncovered: Vec<usize>,
-}
-
-/// Classifies newly inserted items of `variant` against `cover`:
-/// coverage is monotone under insertion, so every item of the old
-/// graph stays covered and only the `new_items` need checking. Items
-/// that are covered (or are not targets, e.g. an uncoverable
-/// client-server client edge) land in
-/// [`MaintenancePlan::commuted`]; the rest in
-/// [`MaintenancePlan::uncovered`].
-///
-/// `variant` must be built over the *post-insertion* graph, with
-/// `cover` re-indexed into its edge universe.
-pub fn plan_insertions<V: SpannerVariant>(
-    variant: &V,
-    cover: &EdgeSet,
-    new_items: &[usize],
-) -> MaintenancePlan {
-    let targets = variant.targets();
-    let covered = variant.covered(cover);
-    let mut plan = MaintenancePlan::default();
-    for &item in new_items {
-        if !targets.contains(item) || covered.contains(item) {
-            plan.commuted.push(item);
-        } else {
-            plan.uncovered.push(item);
-        }
-    }
-    plan
-}
-
-/// Repairs `cover` locally so that every item in `uncovered` becomes
-/// covered, by self-adding each item's [`SpannerVariant::force_cover`]
-/// edges — the same step-7 move the engine's termination pass uses, an
-/// `O(deg)` repair instead of a full re-solve. Returns the edge ids
-/// actually added (the caller's repair debt).
-///
-/// The incremental-coverage contract is honored for bookkeeping:
-/// after the additions, [`SpannerVariant::covered_delta`] is consulted
-/// in debug builds to assert every repaired item really is covered.
-pub fn repair_cover<V: SpannerVariant>(
-    variant: &V,
-    cover: &mut EdgeSet,
-    uncovered: &[usize],
-) -> Vec<EdgeId> {
-    let mut covered = variant.covered(cover);
-    let mut added = Vec::new();
-    let mut batch = Vec::new();
-    for &item in uncovered {
-        if covered.contains(item) {
-            // An earlier repair in this batch already covered it.
-            continue;
-        }
-        batch.clear();
-        for e in variant.force_cover(item) {
-            if cover.insert(e) {
-                batch.push(e);
-            }
-        }
-        // Incremental bookkeeping: only the items the new edges cover
-        // change, exactly as in the engine's iteration loop.
-        variant.covered_delta(cover, &batch, &mut covered);
-        debug_assert!(covered.contains(item), "repair left {item} uncovered");
-        added.extend_from_slice(&batch);
-    }
-    added
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1123,51 +1040,6 @@ mod tests {
             let d = gen::random_digraph_connected(16, 0.12, &mut rng);
             assert_delta_matches_recompute(&DirectedTwoSpanner::new(&d), d.num_edges(), &mut rng);
         }
-    }
-
-    /// A full engine spanner commutes with every item; an empty cover
-    /// leaves exactly the targets uncovered, and a repair pass covers
-    /// them all — for any variant.
-    fn assert_maintenance_roundtrip<V: SpannerVariant + Sync>(variant: &V) {
-        let run = run_engine(variant, &EngineConfig::seeded(3));
-        assert!(run.converged);
-        let all_items: Vec<usize> = (0..variant.num_items()).collect();
-        let plan = plan_insertions(variant, &run.spanner, &all_items);
-        assert!(
-            plan.uncovered.is_empty(),
-            "a converged spanner covers everything: {plan:?}"
-        );
-        assert_eq!(plan.commuted.len(), variant.num_items());
-
-        let mut cover = variant.preselected();
-        let plan = plan_insertions(variant, &cover, &all_items);
-        let mut expect = variant.targets();
-        expect.subtract(&variant.covered(&cover));
-        assert_eq!(plan.uncovered.len(), expect.len());
-        let added = repair_cover(variant, &mut cover, &plan.uncovered);
-        assert!(!added.is_empty() || expect.is_empty());
-        let covered = variant.covered(&cover);
-        for item in variant.targets().iter() {
-            assert!(covered.contains(item), "item {item} uncovered after repair");
-        }
-        // Idempotence: nothing is uncovered now, so a second plan
-        // commutes fully and a second repair adds nothing.
-        let plan = plan_insertions(variant, &cover, &all_items);
-        assert!(plan.uncovered.is_empty());
-        assert!(repair_cover(variant, &mut cover, &plan.uncovered).is_empty());
-    }
-
-    #[test]
-    fn maintenance_plan_and_repair_all_variants() {
-        let mut rng = StdRng::seed_from_u64(41);
-        let g = gen::gnp_connected(20, 0.25, &mut rng);
-        assert_maintenance_roundtrip(&UndirectedTwoSpanner::new(&g));
-        let w = gen::random_weights(g.num_edges(), 1, 5, &mut rng);
-        assert_maintenance_roundtrip(&WeightedTwoSpanner::new(&g, &w));
-        let (clients, servers) = gen::client_server_split(&g, 0.6, 0.6, &mut rng);
-        assert_maintenance_roundtrip(&ClientServerTwoSpanner::new(&g, &clients, &servers));
-        let d = gen::random_digraph_connected(16, 0.12, &mut rng);
-        assert_maintenance_roundtrip(&DirectedTwoSpanner::new(&d));
     }
 
     #[test]

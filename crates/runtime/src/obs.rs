@@ -9,6 +9,10 @@
 //!   lines are `key=value` structured text on stderr
 //!   (`ts=… level=… target=… msg=… extra=…`), so operators can grep
 //!   them and log shippers can parse them without a format schema.
+//! * **Panic hook** — [`install_panic_hook`] routes panic reports
+//!   through the logger: one `level=error` line with the thread, the
+//!   location and the message, in place of the default hook's
+//!   unstructured `thread '…' panicked at …` text.
 //! * **Trace ids** — [`next_trace_id`] hands out process-unique
 //!   non-zero 64-bit ids (time-seeded, counter-mixed). The service
 //!   stamps one on every submitted job and threads it through cache,
@@ -26,6 +30,8 @@
 //! or merge order.
 
 use crate::json::Json;
+use std::any::Any;
+use std::backtrace::{Backtrace, BacktraceStatus};
 use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
@@ -142,6 +148,46 @@ pub fn info(target: &str, msg: &str, fields: &[(&str, &dyn fmt::Display)]) {
 /// [`log`] at [`Level::Debug`].
 pub fn debug(target: &str, msg: &str, fields: &[(&str, &dyn fmt::Display)]) {
     log(Level::Debug, target, msg, fields);
+}
+
+/// Replaces the process's panic hook with one that writes each panic
+/// report as a single [`Level::Error`] line (target `panic`) carrying
+/// the thread name, the source location and the message. A backtrace,
+/// when `RUST_BACKTRACE` asks for one, rides along as one escaped
+/// field. Unwinding itself is unchanged: `catch_unwind` guards still
+/// catch, and an uncaught panic still ends its thread. Call it once,
+/// early in `main`.
+pub fn install_panic_hook() {
+    std::panic::set_hook(Box::new(|info| {
+        let thread = std::thread::current();
+        let thread = thread.name().unwrap_or("<unnamed>");
+        let location = info
+            .location()
+            .map_or_else(|| "<unknown>".to_string(), ToString::to_string);
+        let message = panic_message(info.payload());
+        let backtrace = Backtrace::capture();
+        let mut fields: Vec<(&str, &dyn fmt::Display)> = vec![
+            ("thread", &thread),
+            ("location", &location),
+            ("message", &message),
+        ];
+        if backtrace.status() == BacktraceStatus::Captured {
+            fields.push(("backtrace", &backtrace));
+        }
+        error("panic", "thread panicked", &fields);
+    }));
+}
+
+/// The message of a panic payload: its `&str` or `String`, as `panic!`
+/// produces.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => (*s).to_string(),
+        None => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "non-string panic payload".to_string()),
+    }
 }
 
 fn format_line(

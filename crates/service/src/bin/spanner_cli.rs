@@ -20,9 +20,11 @@
 //! initial edge list (same formats as `run`), `patch` reads delta-op
 //! lines — `+ u v` / `+ u v WEIGHT` / `+ u v client|server|both`
 //! inserts, `- u v` deletes, blank lines and `#` comments skipped —
-//! and `spanner` prints the maintained spanner as `u v` lines.
-//! Responses are byte-identical whether the server repaired the cover
-//! incrementally or recomputed; see the README's Graphs API section.
+//! and `spanner` prints the maintained spanner as `u v` lines, a pure
+//! function of the graph's delta history; see the README's Graphs API
+//! section. The `commuted`/`repaired`/`recomputed`, `cover` and `debt`
+//! columns of `patch` and `get` are deprecated and always read 0 or
+//! `none`.
 //!
 //! `--retries N` retries a `run` up to `N` times when the server sheds
 //! it (HTTP 429 / wire `busy`, honoring the server's retry hint),
@@ -186,6 +188,7 @@ impl Transport {
 }
 
 fn main() -> ExitCode {
+    dsa_runtime::obs::install_panic_hook();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut addr = "127.0.0.1:7071".to_string();
     let mut http = false;

@@ -80,15 +80,15 @@
 //! protocol v2 (`hello`), drive the full graph lifecycle
 //! (create / patch / get / spanner / delete) on all four variants
 //! across both surfaces, stream 1000 single-op insert patches at a
-//! star graph (most of them covered by the maintained working cover)
-//! and assert that `commuted > 0`, that incremental maintenance beat
-//! the extrapolated cost of recomputing from scratch after every
-//! delta, that every maintained spanner is byte-equal to a
-//! from-scratch solve of its final edge set, and — after a restart on
-//! the same `--cache-dir` — that both surfaces re-serve every spanner
+//! star graph, and assert that no PATCH ran the engine, that the
+//! deprecated delta-class fields all read 0, that the stream beat the
+//! extrapolated cost of recomputing from scratch after every delta,
+//! that every served spanner is byte-equal to a from-scratch solve of
+//! its final edge set, and — after a restart on the same
+//! `--cache-dir` — that both surfaces re-serve every spanner
 //! byte-identically without an engine re-run. It prints one
-//! `{"graphs_self_check":...}` JSON line with the delta-class counts
-//! and timings (CI uploads it as an artifact).
+//! `{"graphs_self_check":...}` JSON line with the engine runs seen
+//! inside PATCHes and the timings (CI uploads it as an artifact).
 
 #![deny(unsafe_code)]
 
@@ -104,8 +104,8 @@ use dsa_runtime::json::Json;
 use dsa_runtime::obs;
 use dsa_runtime::{FaultInjector, FaultPlan};
 use dsa_service::{
-    Client, DeltaOp, EdgeRole, GraphSpec, HttpClient, HttpServer, JobSpec, RetryPolicy, Server,
-    Service, ServiceConfig,
+    Client, DeltaClasses, DeltaOp, EdgeRole, GraphSpec, HttpClient, HttpServer, JobSpec,
+    RetryPolicy, Server, Service, ServiceConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -305,6 +305,7 @@ fn install_signal_handlers() {
 fn install_signal_handlers() {}
 
 fn main() -> ExitCode {
+    obs::install_panic_hook();
     let args = parse_args();
     if args.self_check {
         return self_check(
@@ -1349,6 +1350,9 @@ fn self_check_graphs(cfg: &ServiceConfig, trace_dir: Option<&Path>) -> Result<()
     // create over TCP, duplicate-create and patch over HTTP, reads
     // over TCP.
     let mut mirrors: Vec<(String, LiveEdges, dsa_core::dist::EngineConfig)> = Vec::new();
+    // Engine runs (the service's run-latency histogram count) that
+    // happened while a PATCH was in flight: a PATCH never solves.
+    let mut engine_runs_in_patches = 0;
     for spec in self_check_specs() {
         let kind = spec.instance.kind();
         let id = format!("sc-{kind}");
@@ -1403,9 +1407,11 @@ fn self_check_graphs(cfg: &ServiceConfig, trace_dir: Option<&Path>) -> Result<()
             },
             DeltaOp::Delete { u: du, v: dv },
         ];
+        let runs_before = service.metrics().latency_hist_count;
         let patched = hc
             .graph_patch(&id, &ops)
             .map_err(|e| format!("{kind} patch: {e}"))?;
+        engine_runs_in_patches += service.metrics().latency_hist_count - runs_before;
         live.insert(fu, fv, weight.unwrap_or(0), role);
         live.delete(du, dv);
         if patched.version != 2 || patched.applied != 2 || patched.edges != live.recs.len() {
@@ -1417,11 +1423,9 @@ fn self_check_graphs(cfg: &ServiceConfig, trace_dir: Option<&Path>) -> Result<()
                 live.recs.len()
             ));
         }
-        // A patch containing a delete invalidates the cover, so both
-        // of its ops must classify as recomputed.
-        if patched.classes.recomputed != 2 {
+        if patched.classes != DeltaClasses::default() {
             return Err(format!(
-                "{kind} patch with a delete must classify recomputed=2, got {:?}",
+                "{kind} patch: deprecated classes must read 0, got {:?}",
                 patched.classes
             ));
         }
@@ -1454,11 +1458,8 @@ fn self_check_graphs(cfg: &ServiceConfig, trace_dir: Option<&Path>) -> Result<()
         }
     }
 
-    // Phase 2 — a 1000-delta insert stream against a star graph.
-    // Spoke-to-spoke chords commute through the center's covering
-    // 2-paths; pendant edges to fresh vertices need repair, and once
-    // accumulated repair debt crosses the threshold the registry
-    // recomputes — so the stream exercises all three classes.
+    // Phase 2 — a 1000-delta insert stream against a star graph:
+    // spoke-to-spoke chords, then pendant edges to fresh vertices.
     const SPOKES: usize = 300;
     const CHORDS: usize = 700;
     const PENDANTS: usize = 300;
@@ -1489,12 +1490,12 @@ fn self_check_graphs(cfg: &ServiceConfig, trace_dir: Option<&Path>) -> Result<()
             ops.push((u, v));
         }
     }
-    // Pendants: each connects a spoke to a brand-new vertex, so the
-    // new edge cannot be covered by the working cover.
+    // Pendants: each connects a spoke to a brand-new vertex.
     for j in 0..PENDANTS {
         ops.push((1 + (j % SPOKES), 1 + SPOKES + j));
     }
-    let maintenance = Instant::now();
+    let runs_before = service.metrics().latency_hist_count;
+    let stream = Instant::now();
     for &(u, v) in &ops {
         let op = DeltaOp::Insert {
             u,
@@ -1506,11 +1507,16 @@ fn self_check_graphs(cfg: &ServiceConfig, trace_dir: Option<&Path>) -> Result<()
             .map_err(|e| format!("stream patch +{u} {v}: {e}"))?;
         stream_live.insert(u, v, 0, None);
     }
-    let maintenance = maintenance.elapsed();
+    let stream = stream.elapsed();
+    engine_runs_in_patches += service.metrics().latency_hist_count - runs_before;
+    if engine_runs_in_patches != 0 {
+        return Err(format!(
+            "PATCHes ran the engine {engine_runs_in_patches} times; a PATCH must never solve"
+        ));
+    }
     let meta = tcp
         .graph_get("stream")
         .map_err(|e| format!("stream get: {e}"))?;
-    let classes = meta.classes;
     if meta.version != ops.len() as u64 || meta.edges != SPOKES + ops.len() {
         return Err(format!(
             "stream meta: version={} edges={}, expected {} and {}",
@@ -1520,31 +1526,16 @@ fn self_check_graphs(cfg: &ServiceConfig, trace_dir: Option<&Path>) -> Result<()
             SPOKES + ops.len()
         ));
     }
-    let class_sum = classes.commuted + classes.repaired + classes.recomputed;
-    if class_sum != ops.len() as u64 {
+    if (meta.cover_size, meta.debt, meta.classes) != (None, 0, DeltaClasses::default()) {
         return Err(format!(
-            "stream classes sum to {class_sum}, expected {}: {classes:?}",
-            ops.len()
-        ));
-    }
-    // The issue's acceptance bar: a stream that is >= 50% covered
-    // inserts must show commuted deltas.
-    if classes.commuted < (ops.len() as u64) / 2 {
-        return Err(format!(
-            "expected >= {} commuted deltas, got {:?}",
-            ops.len() / 2,
-            classes
-        ));
-    }
-    if classes.repaired == 0 || classes.recomputed == 0 {
-        return Err(format!(
-            "expected the stream to exercise repair and recompute too: {classes:?}"
+            "stream meta: deprecated fields must read none/0, got cover {:?} debt {} classes {:?}",
+            meta.cover_size, meta.debt, meta.classes
         ));
     }
     // The served spanner is still exactly the from-scratch answer.
     check_from_scratch(&mut tcp, "stream", &stream_live, &stream_cfg)?;
 
-    // Maintenance must beat recomputing from scratch after every
+    // The stream must beat recomputing from scratch after every
     // delta. Estimate the per-delta solve cost by timing fresh solves
     // of prefix snapshots (distinct cache keys, so every one is a real
     // engine run) and extrapolating to one solve per delta.
@@ -1565,11 +1556,11 @@ fn self_check_graphs(cfg: &ServiceConfig, trace_dir: Option<&Path>) -> Result<()
     }
     let per_solve = solves.elapsed().as_secs_f64() / prefixes.len() as f64;
     let extrapolated = per_solve * ops.len() as f64;
-    if maintenance.as_secs_f64() >= extrapolated {
+    if stream.as_secs_f64() >= extrapolated {
         return Err(format!(
-            "incremental maintenance ({:.3}s for {} deltas) did not beat {} extrapolated \
+            "the patch stream ({:.3}s for {} deltas) did not beat {} extrapolated \
              from-scratch solves ({:.3}s)",
-            maintenance.as_secs_f64(),
+            stream.as_secs_f64(),
             ops.len(),
             ops.len(),
             extrapolated
@@ -1584,30 +1575,20 @@ fn self_check_graphs(cfg: &ServiceConfig, trace_dir: Option<&Path>) -> Result<()
     if !prom.lines().any(|l| l == live_line) {
         return Err(format!("exposition is missing `{live_line}`"));
     }
-    let commuted_prefix = "spanner_graph_deltas_by_class_total{class=\"commuted\"} ";
-    let commuted_total: u64 = prom
-        .lines()
-        .find_map(|l| l.strip_prefix(commuted_prefix))
-        .ok_or("exposition is missing the commuted delta counter")?
-        .parse()
-        .map_err(|e| format!("commuted counter did not parse: {e}"))?;
-    if commuted_total < classes.commuted {
-        return Err(format!(
-            "service-wide commuted counter {commuted_total} < stream's {}",
-            classes.commuted
-        ));
+    for class in ["commuted", "repaired", "recomputed"] {
+        let line = format!("spanner_graph_deltas_by_class_total{{class=\"{class}\"}} 0");
+        if !prom.lines().any(|l| l == line) {
+            return Err(format!("exposition is missing `{line}`"));
+        }
     }
 
     // The artifact line CI extracts into graph_deltas.json.
     println!(
-        "{{\"graphs_self_check\":{{\"deltas\":{},\"commuted\":{},\"repaired\":{},\
-         \"recomputed\":{},\"maintenance_secs\":{:.6},\"per_solve_secs\":{:.6},\
-         \"extrapolated_secs\":{:.6}}}}}",
+        "{{\"graphs_self_check\":{{\"deltas\":{},\"engine_runs_in_patches\":{},\
+         \"stream_secs\":{:.6},\"per_solve_secs\":{:.6},\"extrapolated_secs\":{:.6}}}}}",
         ops.len(),
-        classes.commuted,
-        classes.repaired,
-        classes.recomputed,
-        maintenance.as_secs_f64(),
+        engine_runs_in_patches,
+        stream.as_secs_f64(),
         per_solve,
         extrapolated
     );

@@ -188,7 +188,7 @@ impl Client {
         })
     }
 
-    /// Fetches a named graph's metadata and maintenance counters.
+    /// Fetches a named graph's metadata.
     pub fn graph_get(&mut self, id: &str) -> Result<GraphMeta, JobError> {
         let resp = self.roundtrip(&encode_graph_get(id))?;
         Self::expect_graph(resp, "graph-get", |r| match r {

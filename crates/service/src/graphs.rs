@@ -12,25 +12,28 @@
 //! The served spanner is **always** `solve(current live edge set)`
 //! under the graph's stored config — the exact bytes a one-shot job
 //! over the same edges would return, executed through the same service
-//! pipeline (canonicalization, cache, store, coalescing). Incremental
-//! maintenance never changes *what* is served, only *when* the engine
-//! runs:
+//! pipeline (canonicalization, cache, store, coalescing). Edge inserts
+//! and deletes on a set commute with each other; the one step where
+//! order matters is the solve, and it runs at read time through the
+//! cache. So a `PATCH` never runs the engine. It is validate → log →
+//! apply:
 //!
-//! * **commuted** — an inserted edge is already covered by the current
-//!   working cover (or is not a coverage target): no engine work.
-//! * **repaired** — an inserted target is uncovered: a local repair
-//!   pass ([`dsa_core::dist::repair_cover`]) patches the working cover
-//!   in O(delta) and the engine still does not run. Each repair adds
-//!   *repair debt*; debt is cleared by the next full solve.
-//! * **recomputed** — a deletion, a restart (the replayed log carries
-//!   no cover), or repair debt above [`REPAIR_DEBT_THRESHOLD`] makes
-//!   the working cover untrustworthy as a classification basis: the
-//!   next solve is a full engine run over the live edge set.
+//! * **validate** every op against the live index plus an overlay of
+//!   the pairs this patch already touched (a rejected patch applies
+//!   nothing);
+//! * **log** the command (see below);
+//! * **apply** in one pass: inserts push, deletes mark their ids, and
+//!   one compaction drops the marked records. Live ids come out exactly
+//!   as sequential `Vec::remove`s would leave them.
 //!
-//! The working cover is used only for classification and metadata; it
-//! is never served. Class counts are process-local runtime metrics —
-//! they depend on restart timing and patch batching — while the served
-//! spanner bytes are a pure function of the delta history.
+//! That is O(|ops|), plus one O(m) compaction when the patch deletes
+//! anything. The spanner bytes are a pure function of the delta
+//! history.
+//!
+//! The delta-class fields of PATCH replies and graph metadata
+//! (`commuted`, `repaired`, `recomputed`, `cover-size`, `debt`) are
+//! deprecated: they keep their wire shape for one release and always
+//! read zero (`cover-size none`).
 //!
 //! # Persistence
 //!
@@ -46,7 +49,7 @@
 //! memory-only (mirroring the result store's degrade path) — the
 //! service keeps answering, it just stops persisting graph history.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -55,23 +58,13 @@ use std::sync::Arc;
 
 use dsa_runtime::sync::OrderedMutex;
 
-use dsa_core::dist::{
-    plan_insertions, repair_cover, ClientServerTwoSpanner, DirectedTwoSpanner, EngineConfig,
-    SpannerVariant, UndirectedTwoSpanner, VariantInstance, VariantKind, WeightedTwoSpanner,
-};
+use dsa_core::dist::{EngineConfig, VariantInstance, VariantKind};
 use dsa_graphs::canon::Fnv1a;
 use dsa_graphs::{DiGraph, EdgeSet, EdgeWeights, Graph};
 use dsa_runtime::{obs, FaultInjector};
 
 use crate::job::{JobError, JobResponse, JobSpec};
 use crate::wire;
-
-/// Repair debt (cover edges added by local repairs since the last full
-/// solve) above which the next insert patch stops repairing and
-/// recomputes instead. Repairs are individually sound but greedy; past
-/// this bound a fresh engine solve both re-tightens the cover and
-/// resets the classification basis.
-pub const REPAIR_DEBT_THRESHOLD: usize = 256;
 
 /// Maximum length of a graph id.
 pub const MAX_GRAPH_ID_LEN: usize = 64;
@@ -173,23 +166,17 @@ pub enum DeltaOp {
     },
 }
 
-/// Per-patch (and per-graph cumulative) delta classification counts.
+/// Deprecated delta classification counts, kept in PATCH replies and
+/// graph metadata for one release so the wire shape stays the same.
+/// Patches are no longer classified: every field reads 0.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaClasses {
-    /// Ops that commuted with the working cover: no engine work.
+    /// Deprecated; always 0.
     pub commuted: u64,
-    /// Ops answered by a local repair pass: no engine run.
+    /// Deprecated; always 0.
     pub repaired: u64,
-    /// Ops that invalidated the cover or forced a full solve.
+    /// Deprecated; always 0.
     pub recomputed: u64,
-}
-
-impl DeltaClasses {
-    fn add(&mut self, other: &DeltaClasses) {
-        self.commuted += other.commuted;
-        self.repaired += other.repaired;
-        self.recomputed += other.recomputed;
-    }
 }
 
 /// Result of a create.
@@ -201,9 +188,9 @@ pub struct GraphCreated {
     pub version: u64,
     /// Live edge count.
     pub edges: usize,
-    /// Size of the eagerly solved spanner (for an idempotent
-    /// re-create: the current working cover, 0 if unsolved since
-    /// restart).
+    /// Size of the spanner of the live edge set: the eager solve of a
+    /// fresh create, or for an idempotent re-create the same solve a
+    /// spanner read would serve.
     pub spanner_size: usize,
     /// True when the graph already existed with an identical
     /// definition (idempotent re-create; maps to HTTP 200 vs 201).
@@ -219,7 +206,7 @@ pub struct GraphPatched {
     pub version: u64,
     /// Ops applied by this patch.
     pub applied: usize,
-    /// How this patch's ops were classified.
+    /// Deprecated; always zero.
     pub classes: DeltaClasses,
     /// Live edge count after the patch.
     pub edges: usize,
@@ -240,13 +227,11 @@ pub struct GraphMeta {
     pub edges: usize,
     /// The engine seed.
     pub seed: u64,
-    /// Size of the working cover, absent when invalidated (after a
-    /// delete or a restart, before the next solve).
+    /// Deprecated; always `None` (`cover-size none` on the wire).
     pub cover_size: Option<usize>,
-    /// Repair debt accumulated since the last full solve.
+    /// Deprecated; always 0.
     pub debt: usize,
-    /// Cumulative per-graph delta classification counts (process-local;
-    /// reset by restarts).
+    /// Deprecated; always zero.
     pub classes: DeltaClasses,
 }
 
@@ -339,21 +324,13 @@ struct GraphState {
     /// a re-create, and the bytes the log replays.
     create_cmd: String,
     /// Live edges in insertion order. Deletion compacts the list, so
-    /// ids shift — which is fine, because deletion always invalidates
-    /// the working cover.
+    /// later ids shift down.
     edges: Vec<EdgeRecord>,
     /// Normalized endpoint pair -> live edge id, for O(1) existence
     /// checks. Pairs are `(min, max)` except for directed graphs.
     index: HashMap<(usize, usize), usize>,
     /// Applied delta count.
     version: u64,
-    /// The working cover over live edge ids (classification basis, a
-    /// valid 2-spanner of the live graph when present — never served).
-    cover: Option<EdgeSet>,
-    /// Cover edges added by local repairs since the last full solve.
-    debt: usize,
-    /// Cumulative per-graph classification counts.
-    classes: DeltaClasses,
 }
 
 struct GraphEntry {
@@ -404,12 +381,20 @@ impl GraphState {
     /// Validates `ops` against the current live set without mutating
     /// it (a rejected patch applies nothing). Ops are checked
     /// sequentially, so an insert+delete of the same edge inside one
-    /// patch is legal.
+    /// patch is legal: a pair this patch already touched is looked up
+    /// in the patch's own overlay, any other pair in the live index.
     fn validate_ops(&self, ops: &[DeltaOp]) -> Result<(), GraphError> {
         if ops.is_empty() {
             return Err(GraphError::Invalid("patch carries no ops".into()));
         }
-        let mut present: HashSet<(usize, usize)> = self.index.keys().copied().collect();
+        // Pair -> whether it is live after the ops checked so far.
+        let mut touched: HashMap<(usize, usize), bool> = HashMap::new();
+        let live = |touched: &HashMap<(usize, usize), bool>, pair| {
+            touched
+                .get(&pair)
+                .copied()
+                .unwrap_or_else(|| self.index.contains_key(&pair))
+        };
         for op in ops {
             match *op {
                 DeltaOp::Insert { u, v, weight, role } => {
@@ -435,41 +420,45 @@ impl GraphState {
                             "insert ({u}, {v}): only client-server graphs take a role"
                         )));
                     }
-                    if !present.insert(pair) {
+                    if live(&touched, pair) {
                         return Err(GraphError::Invalid(format!(
                             "insert ({u}, {v}): edge already exists"
                         )));
                     }
+                    touched.insert(pair, true);
                 }
                 DeltaOp::Delete { u, v } => {
                     let pair = self.normalize_pair(u, v)?;
-                    if !present.remove(&pair) {
+                    if !live(&touched, pair) {
                         return Err(GraphError::Invalid(format!(
                             "delete ({u}, {v}): no such edge"
                         )));
                     }
+                    touched.insert(pair, false);
                 }
             }
         }
         Ok(())
     }
 
-    /// Applies validated ops. Returns the live ids of inserted edges
-    /// (meaningful only for insert-only patches: deletion shifts ids)
-    /// and whether any op was a delete.
+    /// Applies validated ops in one pass: inserts push, deletes take
+    /// their pair out of the index and mark their id, then one
+    /// compaction drops the marked records and re-indexes the rest.
+    /// The survivors keep their relative order, which is exactly the
+    /// order sequential `Vec::remove`s would leave, so live ids are a
+    /// pure function of the delta history.
     ///
     /// Callers run [`GraphState::validate_ops`] first, so the fallible
     /// steps here cannot fail in practice; they still propagate as
     /// `GraphError` rather than panicking — a request-path invariant
     /// slip must degrade to a failed patch, not a dead worker.
-    fn apply_ops(&mut self, ops: &[DeltaOp]) -> Result<(Vec<usize>, bool), GraphError> {
-        let mut new_ids = Vec::new();
-        let mut had_delete = false;
+    fn apply_ops(&mut self, ops: &[DeltaOp]) -> Result<(), GraphError> {
+        let mut dead = Vec::new();
         for op in ops {
             match *op {
                 DeltaOp::Insert { u, v, weight, role } => {
                     let pair = self.normalize_pair(u, v)?;
-                    let id = self.edges.len();
+                    self.index.insert(pair, self.edges.len());
                     self.edges.push(EdgeRecord {
                         u: pair.0,
                         v: pair.1,
@@ -477,25 +466,40 @@ impl GraphState {
                         client: matches!(role, Some(EdgeRole::Client | EdgeRole::Both)),
                         server: matches!(role, Some(EdgeRole::Server | EdgeRole::Both)),
                     });
-                    self.index.insert(pair, id);
-                    new_ids.push(id);
                 }
                 DeltaOp::Delete { u, v } => {
-                    had_delete = true;
                     let pair = self.normalize_pair(u, v)?;
-                    let id = *self.index.get(&pair).ok_or_else(|| {
+                    let id = self.index.remove(&pair).ok_or_else(|| {
                         GraphError::Invalid(format!("delete ({u}, {v}): no such edge"))
                     })?;
-                    self.edges.remove(id);
-                    self.index.clear();
-                    for (i, r) in self.edges.iter().enumerate() {
-                        self.index.insert((r.u, r.v), i);
-                    }
+                    dead.push(id);
                 }
             }
         }
+        if !dead.is_empty() {
+            dead.sort_unstable();
+            let mut dead = dead.into_iter().peekable();
+            let mut id = 0;
+            self.edges.retain(|_| {
+                let keep = dead.next_if_eq(&id).is_none();
+                id += 1;
+                keep
+            });
+            self.reindex();
+        }
         self.version += ops.len() as u64;
-        Ok((new_ids, had_delete))
+        Ok(())
+    }
+
+    /// Rebuilds the pair -> live id index from the edge list.
+    fn reindex(&mut self) {
+        self.index.clear();
+        self.index.extend(
+            self.edges
+                .iter()
+                .enumerate()
+                .map(|(id, r)| ((r.u, r.v), id)),
+        );
     }
 
     /// Rebuilds the engine instance from the live edge list. Live edge
@@ -544,15 +548,6 @@ impl GraphState {
         }
     }
 
-    /// Installs a fresh engine solve as the working cover.
-    fn install_cover(&mut self, resp: &JobResponse) {
-        self.cover = Some(EdgeSet::from_iter(
-            self.edges.len(),
-            resp.spanner.iter().copied(),
-        ));
-        self.debt = 0;
-    }
-
     fn meta(&self, id: &str) -> GraphMeta {
         GraphMeta {
             id: id.to_string(),
@@ -561,50 +556,10 @@ impl GraphState {
             vertices: self.n,
             edges: self.edges.len(),
             seed: self.config.seed,
-            cover_size: self.cover.as_ref().map(EdgeSet::len),
-            debt: self.debt,
-            classes: self.classes,
+            cover_size: None,
+            debt: 0,
+            classes: DeltaClasses::default(),
         }
-    }
-}
-
-/// Classifies `new_ids` against the cover and repairs the uncovered
-/// ones. Returns `(commuted, repaired, cover edges added)`.
-fn plan_and_repair<V: SpannerVariant>(
-    variant: &V,
-    cover: &mut EdgeSet,
-    new_ids: &[usize],
-) -> (usize, usize, usize) {
-    let plan = plan_insertions(variant, cover, new_ids);
-    let added = repair_cover(variant, cover, &plan.uncovered);
-    (plan.commuted.len(), plan.uncovered.len(), added.len())
-}
-
-/// Variant dispatch for [`plan_and_repair`] over a rebuilt instance.
-fn classify_inserts(
-    instance: &VariantInstance,
-    cover: &mut EdgeSet,
-    new_ids: &[usize],
-) -> (usize, usize, usize) {
-    match instance {
-        VariantInstance::Undirected { graph } => {
-            plan_and_repair(&UndirectedTwoSpanner::new(graph), cover, new_ids)
-        }
-        VariantInstance::Weighted { graph, weights } => {
-            plan_and_repair(&WeightedTwoSpanner::new(graph, weights), cover, new_ids)
-        }
-        VariantInstance::Directed { graph } => {
-            plan_and_repair(&DirectedTwoSpanner::new(graph), cover, new_ids)
-        }
-        VariantInstance::ClientServer {
-            graph,
-            clients,
-            servers,
-        } => plan_and_repair(
-            &ClientServerTwoSpanner::new(graph, clients, servers),
-            cover,
-            new_ids,
-        ),
     }
 }
 
@@ -702,9 +657,9 @@ impl GraphRegistry {
         Ok((registry, report))
     }
 
-    /// Applies one logged command. Replay never solves: covers start
-    /// absent and the first post-restart patch or spanner read
-    /// recomputes. Returns false when the record cannot be applied
+    /// Applies one logged command. Replay never solves: the first
+    /// post-restart spanner read does, through the cache and store.
+    /// Returns false when the record cannot be applied
     /// (un-decodable, unknown id, stale semantics) — such records are
     /// skipped, never fatal, mirroring store corruption recovery.
     fn replay(&mut self, payload: &[u8]) -> bool {
@@ -733,12 +688,7 @@ impl GraphRegistry {
                     return false;
                 };
                 let mut st = entry.state.lock();
-                if st.validate_ops(&ops).is_err() || st.apply_ops(&ops).is_err() {
-                    return false;
-                }
-                st.cover = None;
-                st.debt = 0;
-                true
+                st.validate_ops(&ops).is_ok() && st.apply_ops(&ops).is_ok()
             }
             wire::Request::GraphDelete { id } => self.graphs.get_mut().remove(&id).is_some(),
             _ => false,
@@ -792,9 +742,10 @@ impl GraphRegistry {
         }
     }
 
-    /// Creates a named graph, solving it eagerly (the baseline cover).
-    /// Re-creating an existing graph with the byte-identical create
-    /// command is idempotent; a different definition is a conflict.
+    /// Creates a named graph, solving it eagerly (its baseline
+    /// spanner). Re-creating an existing graph with the byte-identical
+    /// create command is idempotent; a different definition is a
+    /// conflict.
     pub fn create(
         &self,
         spec: GraphSpec,
@@ -811,40 +762,24 @@ impl GraphRegistry {
             ..spec
         };
         let cmd = wire::encode_graph_create(&spec);
-        let idempotent = |st: &GraphState| -> Result<(GraphCreated, bool), GraphError> {
-            if st.create_cmd == cmd {
-                Ok((
-                    GraphCreated {
-                        id: spec.id.clone(),
-                        version: st.version,
-                        edges: st.edges.len(),
-                        spanner_size: st.cover.as_ref().map_or(0, EdgeSet::len),
-                        existed: true,
-                    },
-                    false,
-                ))
-            } else {
-                Err(GraphError::Conflict(format!(
-                    "graph `{}` already exists with a different definition",
-                    spec.id
-                )))
-            }
-        };
-        if let Some(entry) = self.graphs.lock().get(&spec.id).cloned() {
-            return idempotent(&entry.state.lock());
+        // A statement of its own: the map lock is released before the
+        // re-create solves.
+        let existing = self.graphs.lock().get(&spec.id).cloned();
+        if let Some(entry) = existing {
+            return recreate(&entry, &spec.id, &cmd, solve);
         }
         // Solve before registering: a graph only exists once its
         // baseline spanner does, so a failed solve leaves no trace.
-        let mut state = build_state(&spec);
+        let state = build_state(&spec);
         let resp = solve(state.job_spec()).map_err(GraphError::Job)?;
-        state.install_cover(&resp);
         let spanner_size = resp.spanner.len();
         let edges = state.edges.len();
         let mut map = self.graphs.lock();
         if let Some(entry) = map.get(&spec.id).cloned() {
             // Lost a concurrent create race; fall back to the
             // idempotency check against the winner.
-            return idempotent(&entry.state.lock());
+            drop(map);
+            return recreate(&entry, &spec.id, &cmd, solve);
         }
         let persisted = self.append(&cmd);
         map.insert(
@@ -865,75 +800,21 @@ impl GraphRegistry {
         ))
     }
 
-    /// Applies one patch: validate, log, apply, classify. Returns the
-    /// patch result plus whether the log degraded on this call.
-    pub fn patch(
-        &self,
-        id: &str,
-        ops: &[DeltaOp],
-        solve: impl Fn(JobSpec) -> Result<JobResponse, JobError>,
-    ) -> Result<(GraphPatched, bool), GraphError> {
+    /// Applies one patch: validate, log, apply. The engine never runs
+    /// here; the next spanner read solves the live edge set. Returns
+    /// the patch result plus whether the log degraded on this call.
+    pub fn patch(&self, id: &str, ops: &[DeltaOp]) -> Result<(GraphPatched, bool), GraphError> {
         let entry = self.entry(id)?;
         let mut st = entry.state.lock();
         st.validate_ops(ops)?;
-        // Classification basis is decided *before* applying: a cover
-        // already past the debt threshold (or absent after a restart)
-        // recomputes this whole patch.
-        let trusted_cover = st.cover.is_some() && st.debt <= REPAIR_DEBT_THRESHOLD;
-        let cmd = wire::encode_graph_patch(id, ops);
-        let persisted = self.append(&cmd);
-        let (new_ids, had_delete) = st.apply_ops(ops)?;
-        let mut classes = DeltaClasses::default();
-        if had_delete {
-            // Coverage is not monotone under deletion: the cover is
-            // untrustworthy. The solve is deferred to the next read.
-            st.cover = None;
-            st.debt = 0;
-            classes.recomputed = ops.len() as u64;
-        } else if !trusted_cover {
-            classes.recomputed = ops.len() as u64;
-            st.classes.add(&classes);
-            match solve(st.job_spec()) {
-                Ok(resp) => st.install_cover(&resp),
-                Err(e) => {
-                    // The ops are applied and logged; only the solve
-                    // failed. The next patch or read re-solves.
-                    st.cover = None;
-                    st.debt = 0;
-                    return Err(GraphError::Job(e));
-                }
-            }
-            return Ok((
-                GraphPatched {
-                    id: id.to_string(),
-                    version: st.version,
-                    applied: ops.len(),
-                    classes,
-                    edges: st.edges.len(),
-                },
-                !persisted,
-            ));
-        } else {
-            // Insert-only with a trusted cover: widen the cover to the
-            // grown edge universe (ids are stable under insertion),
-            // classify, repair the uncovered stragglers locally.
-            let m = st.edges.len();
-            let old = st.cover.take().expect("trusted cover present"); // dsa-lint: allow(DSA-P001, reason="branch is only entered when a trusted cover is present")
-            let mut cover = EdgeSet::from_iter(m, old.iter());
-            let instance = st.instance();
-            let (commuted, repaired, added) = classify_inserts(&instance, &mut cover, &new_ids);
-            st.cover = Some(cover);
-            st.debt += added;
-            classes.commuted = commuted as u64;
-            classes.repaired = repaired as u64;
-        }
-        st.classes.add(&classes);
+        let persisted = self.append(&wire::encode_graph_patch(id, ops));
+        st.apply_ops(ops)?;
         Ok((
             GraphPatched {
                 id: id.to_string(),
                 version: st.version,
                 applied: ops.len(),
-                classes,
+                classes: DeltaClasses::default(),
                 edges: st.edges.len(),
             },
             !persisted,
@@ -949,16 +830,15 @@ impl GraphRegistry {
 
     /// The maintained spanner: solves the current live edge set
     /// through `solve` (the service pipeline, so unchanged graphs are
-    /// answered from cache) and refreshes the working cover.
+    /// answered from cache).
     pub fn spanner(
         &self,
         id: &str,
         solve: impl Fn(JobSpec) -> Result<JobResponse, JobError>,
     ) -> Result<GraphSpannerResult, GraphError> {
         let entry = self.entry(id)?;
-        let mut st = entry.state.lock();
+        let st = entry.state.lock();
         let resp = solve(st.job_spec()).map_err(GraphError::Job)?;
-        st.install_cover(&resp);
         let edges = resp
             .spanner
             .iter()
@@ -988,25 +868,49 @@ impl GraphRegistry {
     }
 }
 
+/// Answers a create for a graph that already exists: a conflict unless
+/// `cmd` is its byte-identical create command; otherwise its live state
+/// with the size of the spanner a read would serve, solved through
+/// `solve` like a read (a cache hit unless the graph changed since its
+/// last read), so the reply depends only on the delta history.
+fn recreate(
+    entry: &GraphEntry,
+    id: &str,
+    cmd: &str,
+    solve: impl Fn(JobSpec) -> Result<JobResponse, JobError>,
+) -> Result<(GraphCreated, bool), GraphError> {
+    let st = entry.state.lock();
+    if st.create_cmd != cmd {
+        return Err(GraphError::Conflict(format!(
+            "graph `{id}` already exists with a different definition"
+        )));
+    }
+    let resp = solve(st.job_spec()).map_err(GraphError::Job)?;
+    Ok((
+        GraphCreated {
+            id: id.to_string(),
+            version: st.version,
+            edges: st.edges.len(),
+            spanner_size: resp.spanner.len(),
+            existed: true,
+        },
+        false,
+    ))
+}
+
 fn build_state(spec: &GraphSpec) -> GraphState {
     let (n, edges) = records_of(&spec.instance);
-    let index = edges
-        .iter()
-        .enumerate()
-        .map(|(i, r)| ((r.u, r.v), i))
-        .collect();
-    GraphState {
+    let mut state = GraphState {
         kind: spec.instance.kind(),
         config: normalized_config(spec.config.clone()),
         n,
         create_cmd: wire::encode_graph_create(spec),
         edges,
-        index,
+        index: HashMap::new(),
         version: 0,
-        cover: None,
-        debt: 0,
-        classes: DeltaClasses::default(),
-    }
+    };
+    state.reindex();
+    state
 }
 
 // ---------------------------------------------------------------------
@@ -1286,7 +1190,6 @@ mod tests {
                         role: None,
                     },
                 ],
-                direct_solve,
             )
             .unwrap_err();
         assert!(matches!(err, GraphError::Invalid(_)), "{err}");
@@ -1333,10 +1236,7 @@ mod tests {
             (vec![], "empty patch"),
         ] {
             assert!(
-                matches!(
-                    r.patch("g", &ops, direct_solve),
-                    Err(GraphError::Invalid(_))
-                ),
+                matches!(r.patch("g", &ops), Err(GraphError::Invalid(_))),
                 "accepted: {why}"
             );
         }
@@ -1354,7 +1254,6 @@ mod tests {
                     },
                     DeltaOp::Delete { u: 3, v: 2 },
                 ],
-                direct_solve,
             )
             .unwrap();
         assert_eq!(patched.version, 2);
@@ -1362,45 +1261,103 @@ mod tests {
     }
 
     #[test]
-    fn covered_inserts_commute_and_uncovered_repair() {
+    fn patches_never_solve_and_classes_read_zero() {
         let r = registry();
-        // A star around 0: every spoke is a bridge, so the baseline
-        // spanner is the whole star and any spoke-to-spoke chord has a
-        // 2-path through 0.
+        let solves = std::cell::Cell::new(0);
+        let counted = |spec: JobSpec| {
+            solves.set(solves.get() + 1);
+            direct_solve(spec)
+        };
         let spokes: Vec<(usize, usize)> = (1..8).map(|v| (0, v)).collect();
-        r.create(undirected_spec("star", 10, &spokes), direct_solve)
+        r.create(undirected_spec("star", 10, &spokes), counted)
             .unwrap();
+        assert_eq!(solves.get(), 1, "create solves eagerly");
         let insert = |u, v| DeltaOp::Insert {
             u,
             v,
             weight: None,
             role: None,
         };
-        let (p, _) = r
-            .patch("star", &[insert(1, 2), insert(3, 4)], direct_solve)
+        // Chords, an uncovered edge, a delete, the insert after it, and
+        // a mixed patch: none of them runs the engine or classifies.
+        for ops in [
+            vec![insert(1, 2), insert(3, 4)],
+            vec![insert(8, 9)],
+            vec![DeltaOp::Delete { u: 8, v: 9 }],
+            vec![insert(5, 6)],
+            vec![insert(8, 9), DeltaOp::Delete { u: 0, v: 1 }],
+        ] {
+            let (p, _) = r.patch("star", &ops).unwrap();
+            assert_eq!(p.classes, DeltaClasses::default(), "{ops:?}");
+            let meta = r.meta("star").unwrap();
+            assert_eq!(
+                (meta.cover_size, meta.debt, meta.classes),
+                (None, 0, DeltaClasses::default())
+            );
+        }
+        assert_eq!(solves.get(), 1, "a patch ran the engine");
+        let read = r.spanner("star", counted).unwrap();
+        assert_eq!(solves.get(), 2);
+        // A re-create answers like a read: the live state and the size
+        // of the spanner a read serves.
+        let (again, _) = r
+            .create(undirected_spec("star", 10, &spokes), counted)
             .unwrap();
-        assert_eq!(p.classes.commuted, 2, "chords commute: {:?}", p.classes);
-        assert_eq!(p.classes.repaired, 0);
-        assert_eq!(p.classes.recomputed, 0);
-        // Vertices 8 and 9 are isolated: (8, 9) has no 2-path and must
-        // be repaired (the repair adds the edge itself to the cover).
-        let (p, _) = r.patch("star", &[insert(8, 9)], direct_solve).unwrap();
-        assert_eq!(p.classes.repaired, 1, "{:?}", p.classes);
-        let meta = r.meta("star").unwrap();
-        assert_eq!(meta.debt, 1);
-        assert_eq!(meta.classes.commuted, 2);
-        // A chord next to the repaired edge now commutes through it...
-        // no 2-path exists, so instead verify a delete invalidates.
-        let (p, _) = r
-            .patch("star", &[DeltaOp::Delete { u: 8, v: 9 }], direct_solve)
-            .unwrap();
-        assert_eq!(p.classes.recomputed, 1);
-        let meta = r.meta("star").unwrap();
-        assert_eq!(meta.cover_size, None, "delete invalidates the cover");
-        // The cover is absent, so the next insert patch recomputes.
-        let (p, _) = r.patch("star", &[insert(5, 6)], direct_solve).unwrap();
-        assert_eq!(p.classes.recomputed, 1);
-        assert!(r.meta("star").unwrap().cover_size.is_some());
+        assert_eq!(solves.get(), 3);
+        assert!(again.existed);
+        assert_eq!(
+            (again.version, again.edges, again.spanner_size),
+            (7, 10, read.edges.len())
+        );
+    }
+
+    #[test]
+    fn one_pass_apply_keeps_the_sequential_remove_order() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..200 {
+            let mut st = build_state(&undirected_spec("g", 8, &[(0, 1), (2, 3), (4, 5)]));
+            let mut model: Vec<(usize, usize)> = st.edges.iter().map(|r| (r.u, r.v)).collect();
+            for _ in 0..4 {
+                // A patch valid op by op against the model, which
+                // applies each op on its own: push or `Vec::remove`.
+                let mut ops = Vec::new();
+                for _ in 0..rng.gen_range(1..=6) {
+                    let (u, v): (usize, usize) = (rng.gen_range(0..8), rng.gen_range(0..8));
+                    if u == v {
+                        continue;
+                    }
+                    let pair = (u.min(v), u.max(v));
+                    match model.iter().position(|&p| p == pair) {
+                        Some(i) => {
+                            model.remove(i);
+                            ops.push(DeltaOp::Delete { u, v });
+                        }
+                        None => {
+                            model.push(pair);
+                            ops.push(DeltaOp::Insert {
+                                u,
+                                v,
+                                weight: None,
+                                role: None,
+                            });
+                        }
+                    }
+                }
+                if ops.is_empty() {
+                    continue;
+                }
+                st.validate_ops(&ops).unwrap();
+                st.apply_ops(&ops).unwrap();
+                let live: Vec<(usize, usize)> = st.edges.iter().map(|r| (r.u, r.v)).collect();
+                assert_eq!(live, model, "{ops:?}");
+                for (id, pair) in model.iter().enumerate() {
+                    assert_eq!(st.index.get(pair), Some(&id));
+                }
+                assert_eq!(st.index.len(), model.len());
+            }
+        }
     }
 
     #[test]
@@ -1417,10 +1374,8 @@ mod tests {
             weight: None,
             role: None,
         };
-        r.patch("g", &[insert(0, 2), insert(4, 5)], direct_solve)
-            .unwrap();
-        r.patch("g", &[DeltaOp::Delete { u: 1, v: 2 }], direct_solve)
-            .unwrap();
+        r.patch("g", &[insert(0, 2), insert(4, 5)]).unwrap();
+        r.patch("g", &[DeltaOp::Delete { u: 1, v: 2 }]).unwrap();
         let got = r.spanner("g", direct_solve).unwrap();
         // From scratch: the same final edge set, same config.
         let final_edges = [(0, 1), (2, 3), (3, 4), (0, 2), (4, 5)];
@@ -1441,10 +1396,6 @@ mod tests {
             .collect();
         assert_eq!(got.edges, want);
         assert_eq!(got.version, 3);
-        // Serving refreshed the cover.
-        let meta = r.meta("g").unwrap();
-        assert_eq!(meta.cover_size, Some(got.edges.len()));
-        assert_eq!(meta.debt, 0);
     }
 
     #[test]
@@ -1466,15 +1417,14 @@ mod tests {
                     weight: None,
                     role: None,
                 }],
-                direct_solve,
             )
             .unwrap();
             r.create(undirected_spec("gone", 3, &[(0, 1)]), direct_solve)
                 .unwrap();
             r.delete("gone").unwrap();
         }
-        // Clean replay: one live graph at version 1, cover absent
-        // (replay never solves).
+        // Clean replay: one live graph at version 1 (replay never
+        // solves).
         {
             let (r, report) = GraphRegistry::open(Some(&dir), Arc::clone(&fault)).unwrap();
             assert_eq!(report.graphs, 1);
@@ -1493,7 +1443,6 @@ mod tests {
                     weight: None,
                     role: None,
                 }],
-                direct_solve,
             )
             .unwrap();
         }
@@ -1517,8 +1466,7 @@ mod tests {
         // And the truncation left a clean tail: appends work again.
         {
             let (r, _) = GraphRegistry::open(Some(&dir), Arc::clone(&fault)).unwrap();
-            r.patch("g", &[DeltaOp::Delete { u: 0, v: 1 }], direct_solve)
-                .unwrap();
+            r.patch("g", &[DeltaOp::Delete { u: 0, v: 1 }]).unwrap();
         }
         let (r, report) = GraphRegistry::open(Some(&dir), fault).unwrap();
         assert_eq!(report.dropped, 0);
@@ -1554,7 +1502,6 @@ mod tests {
                     weight: None,
                     role: None,
                 }],
-                direct_solve,
             )
             .unwrap();
         assert!(degraded);

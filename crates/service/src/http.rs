@@ -14,8 +14,8 @@
 //! |--------------------------------|-------------------|------------------------------|
 //! | `POST /v1/jobs`                | job spec (JSON)   | job result (JSON)            |
 //! | `PUT /v1/graphs/{id}`          | graph spec (JSON) | created graph (201/200)      |
-//! | `PATCH /v1/graphs/{id}`        | edge deltas (JSON)| applied patch + classes      |
-//! | `GET /v1/graphs/{id}`          | —                 | metadata + maintenance stats |
+//! | `PATCH /v1/graphs/{id}`        | edge deltas (JSON)| applied patch                |
+//! | `GET /v1/graphs/{id}`          | —                 | metadata                     |
 //! | `GET /v1/graphs/{id}/spanner`  | —                 | the maintained spanner       |
 //! | `DELETE /v1/graphs/{id}`       | —                 | `{"id":...,"deleted":true}`  |
 //! | `GET /v1/metrics`              | —                 | coherent counters + p50/p95  |
@@ -1443,7 +1443,8 @@ pub fn decode_graph_created_body(body: &[u8]) -> Result<GraphCreated, JobError> 
     })
 }
 
-/// Encodes the `PATCH /v1/graphs/{id}` success body.
+/// Encodes the `PATCH /v1/graphs/{id}` success body. The deprecated
+/// `commuted`/`repaired`/`recomputed` fields always read 0.
 pub fn encode_graph_patched_body(r: &GraphPatched) -> String {
     Json::Obj(vec![
         ("id".to_string(), Json::Str(r.id.clone())),
@@ -1473,9 +1474,9 @@ pub fn decode_graph_patched_body(body: &[u8]) -> Result<GraphPatched, JobError> 
     })
 }
 
-/// Encodes the `GET /v1/graphs/{id}` success body. `cover_size` is
-/// `null` while the working cover is invalidated (after a delete or a
-/// restart, before the next solve).
+/// Encodes the `GET /v1/graphs/{id}` success body. The deprecated
+/// `cover_size`, `debt` and class fields keep their shape for one
+/// release: this server always sends `null` and zeros.
 pub fn encode_graph_meta_body(r: &GraphMeta) -> String {
     Json::Obj(vec![
         ("id".to_string(), Json::Str(r.id.clone())),

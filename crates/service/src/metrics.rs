@@ -86,11 +86,6 @@ pub(crate) struct ServiceMetrics {
     /// Gauge: named graphs currently registered (set at open from the
     /// replayed log, advanced on create/delete).
     graphs_live: AtomicU64,
-    /// Graph PATCH ops by maintenance class: already covered (no
-    /// work), locally repaired, or queued for full recompute.
-    graph_deltas_commuted: AtomicU64,
-    graph_deltas_repaired: AtomicU64,
-    graph_deltas_recomputed: AtomicU64,
     latency: OrderedMutex<LatencyRecorder>,
     hist: OrderedMutex<Histogram>,
 }
@@ -151,9 +146,6 @@ impl ServiceMetrics {
             store_write_us: AtomicU64::new(0),
             store_recovery_us: AtomicU64::new(0),
             graphs_live: AtomicU64::new(0),
-            graph_deltas_commuted: AtomicU64::new(0),
-            graph_deltas_repaired: AtomicU64::new(0),
-            graph_deltas_recomputed: AtomicU64::new(0),
             latency: OrderedMutex::new(
                 "metrics_latency",
                 92,
@@ -264,18 +256,6 @@ impl ServiceMetrics {
         self.graphs_live.store(n, Ordering::Relaxed);
     }
 
-    /// Adds one PATCH's worth of delta classifications: ops that
-    /// commuted with the maintained cover, ops repaired locally, and
-    /// ops that forced a full-recompute path.
-    pub fn on_graph_deltas(&self, commuted: u64, repaired: u64, recomputed: u64) {
-        self.graph_deltas_commuted
-            .fetch_add(commuted, Ordering::Relaxed);
-        self.graph_deltas_repaired
-            .fetch_add(repaired, Ordering::Relaxed);
-        self.graph_deltas_recomputed
-            .fetch_add(recomputed, Ordering::Relaxed);
-    }
-
     /// A response actually reached a waiting caller — the only place
     /// `jobs_completed` advances, so waiters that cancel or time out
     /// are never counted as answered.
@@ -349,9 +329,9 @@ impl ServiceMetrics {
             store_write_us: self.store_write_us.load(Ordering::Relaxed),
             store_recovery_us: self.store_recovery_us.load(Ordering::Relaxed),
             graphs_live: self.graphs_live.load(Ordering::Relaxed),
-            graph_deltas_commuted: self.graph_deltas_commuted.load(Ordering::Relaxed),
-            graph_deltas_repaired: self.graph_deltas_repaired.load(Ordering::Relaxed),
-            graph_deltas_recomputed: self.graph_deltas_recomputed.load(Ordering::Relaxed),
+            graph_deltas_commuted: 0,
+            graph_deltas_repaired: 0,
+            graph_deltas_recomputed: 0,
             // Gauges sampled by the owner of the queue/inflight state:
             // `Service::metrics` fills them in after this snapshot.
             queue_depth: 0,
@@ -431,14 +411,12 @@ pub struct MetricsSnapshot {
     /// Named graphs currently registered (a gauge; created minus
     /// deleted, seeded from the replayed graph log at open).
     pub graphs_live: u64,
-    /// Graph PATCH ops whose edges were already covered by the
-    /// maintained spanner — classified with zero engine work.
+    /// Deprecated: graph PATCH ops are no longer classified. Kept, with
+    /// its JSON key and Prometheus series, for one release; reads 0.
     pub graph_deltas_commuted: u64,
-    /// Graph PATCH ops absorbed by a local repair pass over the
-    /// maintained cover.
+    /// Deprecated; reads 0 (see `graph_deltas_commuted`).
     pub graph_deltas_repaired: u64,
-    /// Graph PATCH ops that invalidated the cover (deletes, stale or
-    /// debt-saturated covers) and deferred to a full recompute.
+    /// Deprecated; reads 0 (see `graph_deltas_commuted`).
     pub graph_deltas_recomputed: u64,
     /// Jobs waiting in the worker-pool queue (a gauge sampled at
     /// snapshot time).
@@ -746,7 +724,7 @@ impl MetricsSnapshot {
         metric(
             "graph_deltas_by_class_total",
             "counter",
-            "Graph PATCH ops by maintenance class (commuted, repaired, recomputed).",
+            "Deprecated: graph PATCH ops are no longer classified; every class reads 0.",
             &[
                 (
                     "{class=\"commuted\"}".to_string(),
@@ -972,8 +950,6 @@ mod tests {
         m.set_store_dropped(2);
         m.set_store_degraded();
         m.set_graphs_live(3);
-        m.on_graph_deltas(5, 2, 1);
-        m.on_graph_deltas(1, 0, 0);
         let mut snap = m.snapshot();
         // Pin the wall-clock-dependent fields so repeated renderings
         // must agree byte-for-byte.
@@ -1030,18 +1006,20 @@ mod tests {
         assert!(text.contains("spanner_jobs_panicked_total 1\n"));
         assert!(text.contains("le=\"+Inf\""));
 
-        // Graph metrics: the live gauge precedes the per-class delta
-        // counter, whose labels land in commuted/repaired/recomputed
-        // order between the store section and the engine totals.
+        // Graph metrics: the live gauge precedes the deprecated
+        // per-class delta counter, whose labels land in
+        // commuted/repaired/recomputed order between the store section
+        // and the engine totals, and all read 0.
         assert!(text.contains("spanner_graphs_live 3\n"));
         assert!(pos("spanner_graphs_live 3") < pos("class=\"commuted\""));
         assert!(pos("spanner_store_recovery_seconds_total") < pos("spanner_graphs_live 3"));
         assert!(pos("class=\"commuted\"") < pos("class=\"repaired\""));
         assert!(pos("class=\"repaired\"") < pos("class=\"recomputed\""));
         assert!(pos("class=\"recomputed\"") < pos("spanner_engine_iterations_total"));
-        assert!(text.contains("spanner_graph_deltas_by_class_total{class=\"commuted\"} 6\n"));
-        assert!(text.contains("spanner_graph_deltas_by_class_total{class=\"repaired\"} 2\n"));
-        assert!(text.contains("spanner_graph_deltas_by_class_total{class=\"recomputed\"} 1\n"));
+        for class in ["commuted", "repaired", "recomputed"] {
+            let line = format!("spanner_graph_deltas_by_class_total{{class=\"{class}\"}} 0\n");
+            assert!(text.contains(&line), "missing {line}");
+        }
 
         // The class series sum back to the total — the same invariant
         // the JSON body guarantees.

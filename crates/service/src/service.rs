@@ -66,7 +66,6 @@
 //! result is bit-identical for every shard count — execution policy
 //! never leaks into cached bytes.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -377,31 +376,20 @@ impl Service {
         Ok(created)
     }
 
-    /// Applies edge deltas to a named graph, classifying each batch as
-    /// commuted / repaired / recomputed. The `PATCH /v1/graphs/{id}`
-    /// and `graph-patch v2` surface.
+    /// Applies edge deltas to a named graph: validate, log, apply. The
+    /// engine never runs here; the next spanner read solves. The
+    /// `PATCH /v1/graphs/{id}` and `graph-patch v2` surface.
     pub fn graph_patch(&self, id: &str, ops: &[DeltaOp]) -> Result<GraphPatched, GraphError> {
-        let (patched, degraded) = self.graphs.patch(id, ops, |s| self.run(&s))?;
+        let (patched, degraded) = self.graphs.patch(id, ops)?;
         if degraded {
             self.shared.metrics.set_store_degraded();
         }
-        self.shared.metrics.on_graph_deltas(
-            patched.classes.commuted,
-            patched.classes.repaired,
-            patched.classes.recomputed,
-        );
         self.shared.flight.event(
             obs::next_trace_id(),
             "graph.patched",
             vec![
                 ("graph".to_string(), id.to_string()),
                 ("applied".to_string(), patched.applied.to_string()),
-                ("commuted".to_string(), patched.classes.commuted.to_string()),
-                ("repaired".to_string(), patched.classes.repaired.to_string()),
-                (
-                    "recomputed".to_string(),
-                    patched.classes.recomputed.to_string(),
-                ),
             ],
         );
         Ok(patched)
@@ -662,7 +650,7 @@ impl Service {
                     Err(payload) => {
                         // Counted and logged before the waiters wake,
                         // so a caller that saw the error sees the count.
-                        let message = panic_message(payload.as_ref());
+                        let message = obs::panic_message(payload.as_ref());
                         retire(&mut shared.inflight.lock());
                         shared.metrics.on_panicked();
                         let key = format!("{key:016x}");
@@ -878,18 +866,6 @@ impl Service {
             }
             std::thread::sleep(Duration::from_millis(10));
         }
-    }
-}
-
-/// The message of a caught panic: its `&str` or `String` payload, as
-/// `panic!` produces.
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    match payload.downcast_ref::<&str>() {
-        Some(s) => (*s).to_string(),
-        None => payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "non-string panic payload".to_string()),
     }
 }
 

@@ -880,7 +880,8 @@ pub fn encode_graph_created(r: &GraphCreated) -> String {
     )
 }
 
-/// Encodes an `ok graph-patch` response.
+/// Encodes an `ok graph-patch` response. The deprecated `commuted`,
+/// `repaired` and `recomputed` lines always read 0.
 pub fn encode_graph_patched(r: &GraphPatched) -> String {
     format!(
         "ok graph-patch\nid {}\nversion {}\napplied {}\ncommuted {}\nrepaired {}\nrecomputed {}\nedges {}\n",
@@ -894,7 +895,8 @@ pub fn encode_graph_patched(r: &GraphPatched) -> String {
     )
 }
 
-/// Encodes an `ok graph-get` metadata response.
+/// Encodes an `ok graph-get` metadata response. The deprecated
+/// `cover-size`, `debt` and class lines always read `none` and 0.
 pub fn encode_graph_meta(r: &GraphMeta) -> String {
     let cover = match r.cover_size {
         Some(n) => n.to_string(),

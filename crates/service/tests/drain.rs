@@ -216,6 +216,74 @@ fn cache_dir_takes_a_single_writer_lock() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn engine_panics_are_logged_through_the_leveled_logger() {
+    // Every run panics. The panic report must reach stderr as one
+    // structured `level=error` line like every other operational line,
+    // not as the default hook's `thread '…' panicked at …` text.
+    let mut child = Command::new(SERVE_BIN)
+        .args(["--addr", "127.0.0.1:0", "--workers", "1"])
+        .args(["--fault-plan", "seed=1;engine.panic=1.0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn spanner-serve");
+    let mut stderr = child.stderr.take().expect("child stderr");
+    let stderr = std::thread::spawn(move || {
+        let mut text = String::new();
+        stderr
+            .read_to_string(&mut text)
+            .expect("read server stderr");
+        text
+    });
+    let mut lines = BufReader::new(child.stdout.take().expect("child stdout")).lines();
+    let addr = loop {
+        let line = lines
+            .next()
+            .expect("server exited before listening")
+            .expect("read server stdout");
+        if let Some(addr) = line.strip_prefix("listening ") {
+            break addr.to_string();
+        }
+    };
+    std::thread::spawn(move || for _ in lines {});
+    let spec = JobSpec::new(
+        VariantInstance::Undirected {
+            graph: gen::gnp_connected(16, 0.3, &mut StdRng::seed_from_u64(7)),
+        },
+        1,
+    );
+    let mut client = Client::connect(&addr).expect("connect");
+    match client.run(&spec) {
+        Err(JobError::Remote(m)) => assert!(m.contains("panicked"), "{m}"),
+        other => panic!("expected the panicked error, got {other:?}"),
+    }
+    drop(client);
+    sigterm(&child);
+    let status = wait_with_deadline(&mut child, Duration::from_secs(30));
+    assert_eq!(status.code(), Some(0), "drain must exit 0");
+    let text = stderr.join().expect("stderr reader");
+    for line in text.lines() {
+        assert!(line.starts_with("ts="), "unstructured stderr line: {line}");
+    }
+    let reports: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains("level=error") && l.contains("target=panic"))
+        .collect();
+    assert_eq!(reports.len(), 1, "one panic report expected:\n{text}");
+    for field in [
+        "injected fault: engine.panic",
+        "thread=dsa-service-worker-0",
+        "location=",
+    ] {
+        assert!(
+            reports[0].contains(field),
+            "{field} missing: {}",
+            reports[0]
+        );
+    }
+}
+
 /// `Child::wait` with a deadline: polls `try_wait`, kills on overrun.
 fn wait_with_deadline(child: &mut Child, deadline: Duration) -> std::process::ExitStatus {
     let until = Instant::now() + deadline;

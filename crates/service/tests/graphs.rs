@@ -122,6 +122,14 @@ impl Mirror {
         self.recs.remove(i);
     }
 
+    /// Applies one op on its own, the way a one-op PATCH would.
+    fn apply(&mut self, op: &DeltaOp) {
+        match *op {
+            DeltaOp::Insert { u, v, weight, role } => self.insert(u, v, weight.unwrap_or(0), role),
+            DeltaOp::Delete { u, v } => self.delete(u, v),
+        }
+    }
+
     fn instance(&self) -> VariantInstance {
         let pairs: Vec<(usize, usize)> = self.recs.iter().map(|r| (r.0, r.1)).collect();
         match self.kind {
@@ -288,17 +296,89 @@ fn lifecycle_works_across_tcp_and_http() {
     server.shutdown();
 }
 
+#[test]
+fn a_patch_never_runs_the_engine() {
+    let service = Service::new(&ServiceConfig::default());
+    let instance = variant_instances(4).remove(0);
+    let mut mirror = Mirror::of(&instance);
+    service
+        .graph_create(GraphSpec {
+            id: "quiet".to_string(),
+            instance,
+            config: EngineConfig::seeded(4),
+        })
+        .expect("create");
+    let runs = || service.metrics().latency_hist_count;
+    service.graph_spanner("quiet").expect("first read");
+    let before = runs();
+    // A delete PATCH, then an insert PATCH straight after it: neither
+    // runs the engine; the read after them does, once.
+    let (du, dv) = (mirror.recs[0].0, mirror.recs[0].1);
+    let (iu, iv) = (0..mirror.n)
+        .flat_map(|u| ((u + 1)..mirror.n).map(move |v| (u, v)))
+        .find(|&(u, v)| mirror.position(u, v).is_none())
+        .expect("an absent pair");
+    for op in [
+        DeltaOp::Delete { u: du, v: dv },
+        DeltaOp::Insert {
+            u: iu,
+            v: iv,
+            weight: None,
+            role: None,
+        },
+    ] {
+        service
+            .graph_patch("quiet", std::slice::from_ref(&op))
+            .expect("patch");
+        mirror.apply(&op);
+        assert_eq!(runs(), before, "a PATCH ran the engine");
+    }
+    service.graph_spanner("quiet").expect("second read");
+    assert_eq!(runs(), before + 1, "the read after the PATCHes solves once");
+    assert_matches_from_scratch(&service, "quiet", &mirror, 4);
+}
+
+#[test]
+fn a_graph_emptied_by_deletes_serves_an_empty_spanner() {
+    let service = Service::new(&ServiceConfig::default());
+    for (i, instance) in variant_instances(6).into_iter().enumerate() {
+        let id = format!("empty-{}", instance.kind());
+        let mut mirror = Mirror::of(&instance);
+        service
+            .graph_create(GraphSpec {
+                id: id.clone(),
+                instance,
+                config: EngineConfig::seeded(i as u64),
+            })
+            .expect("create");
+        let ops: Vec<DeltaOp> = mirror
+            .recs
+            .iter()
+            .map(|r| DeltaOp::Delete { u: r.0, v: r.1 })
+            .collect();
+        let patched = service.graph_patch(&id, &ops).expect("delete every edge");
+        assert_eq!(patched.edges, 0);
+        mirror.recs.clear();
+        assert!(service.graph_spanner(&id).expect("read").edges.is_empty());
+        assert_matches_from_scratch(&service, &id, &mirror, i as u64);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// The determinism contract: whatever interleaving of inserts and
-    /// deletes a graph lives through, the spanner it serves is
-    /// byte-identical to a from-scratch solve of the final edge set —
-    /// for every variant.
+    /// deletes a graph lives through, however they are grouped into
+    /// PATCHes, the spanner it serves is byte-identical to a
+    /// from-scratch solve of the final edge set — for every variant.
+    /// The mirror applies the ops one at a time.
     #[test]
     fn any_interleaving_serves_the_from_scratch_spanner(
         seed in 0u64..100,
-        script in proptest::collection::vec((0usize..2, 0usize..64, 0usize..64), 1..14),
+        script in proptest::collection::vec(
+            (0usize..3, 0usize..64, 0usize..64, 0usize..3),
+            1..14,
+        ),
     ) {
         let service = Service::new(&ServiceConfig::default());
         for (i, instance) in variant_instances(seed).into_iter().enumerate() {
@@ -313,38 +393,39 @@ proptest! {
                 })
                 .expect("create");
             let mut mirror = Mirror::of(&instance);
-            for &(del, a, b) in &script {
-                let is_delete = del == 1;
-                let (u, v) = (a % mirror.n, b % mirror.n);
-                if u == v {
-                    continue;
-                }
-                let live = mirror.position(u, v).is_some();
-                let op = if is_delete && live {
-                    DeltaOp::Delete { u, v }
-                } else if !is_delete && !live {
-                    let (weight, role) = match kind {
-                        VariantKind::Weighted => (Some((a + b) as u64 % 10), None),
-                        VariantKind::ClientServer => (None, Some(EdgeRole::Both)),
-                        _ => (None, None),
-                    };
-                    DeltaOp::Insert { u, v, weight, role }
-                } else {
-                    continue;
+            let insert = |u: usize, v: usize, a: usize, b: usize| {
+                let (weight, role) = match kind {
+                    VariantKind::Weighted => (Some((a + b) as u64 % 10), None),
+                    VariantKind::ClientServer => (None, Some(EdgeRole::Both)),
+                    _ => (None, None),
                 };
-                // Deleting the last edge would leave an instance the
-                // engine rejects; keep at least one live edge.
-                if matches!(op, DeltaOp::Delete { .. }) && mirror.recs.len() == 1 {
-                    continue;
+                DeltaOp::Insert { u, v, weight, role }
+            };
+            let mut patch = Vec::new();
+            for (k, &(shape, a, b, close)) in script.iter().enumerate() {
+                let (u, v) = (a % mirror.n, b % mirror.n);
+                let live = mirror.position(u, v).is_some();
+                // Shape 0 inserts an absent pair, 1 deletes a live one,
+                // and 2 flips a pair and flips it back inside the same
+                // PATCH: insert then delete, or delete then re-insert
+                // with fresh extras.
+                let ops = match (shape, live) {
+                    _ if u == v => vec![],
+                    (0, false) => vec![insert(u, v, a, b)],
+                    (1, true) => vec![DeltaOp::Delete { u, v }],
+                    (2, false) => vec![insert(u, v, a, b), DeltaOp::Delete { u, v }],
+                    (2, true) => vec![DeltaOp::Delete { u, v }, insert(u, v, b, b)],
+                    _ => vec![],
+                };
+                for op in ops {
+                    mirror.apply(&op);
+                    patch.push(op);
                 }
-                service
-                    .graph_patch(&id, std::slice::from_ref(&op))
-                    .expect("patch");
-                match op {
-                    DeltaOp::Insert { u, v, weight, role } => {
-                        mirror.insert(u, v, weight.unwrap_or(0), role)
-                    }
-                    DeltaOp::Delete { u, v } => mirror.delete(u, v),
+                // `close` ends the PATCH after this entry one time in
+                // three; the script's end always does.
+                if !patch.is_empty() && (close == 0 || k + 1 == script.len()) {
+                    service.graph_patch(&id, &patch).expect("patch");
+                    patch.clear();
                 }
             }
             assert_matches_from_scratch(&service, &id, &mirror, job_seed);

@@ -88,11 +88,15 @@ fn spanner_serve_graphs_self_check_passes() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("self-check ok"));
-    // The one-line delta-classification summary CI extracts into
-    // graph_deltas.json must be on stdout.
+    // The one-line summary CI extracts into graph_deltas.json must be
+    // on stdout, with no engine run inside a PATCH.
     assert!(
         stdout.contains("{\"graphs_self_check\":{\"deltas\":"),
         "missing artifact line\nstdout: {stdout}"
+    );
+    assert!(
+        stdout.contains("\"engine_runs_in_patches\":0,"),
+        "PATCHes ran the engine\nstdout: {stdout}"
     );
 }
 
