@@ -119,31 +119,22 @@ fn undirected_covered_delta(g: &Graph, h: &EdgeSet, new_edges: &[EdgeId], out: &
     for &e in new_edges {
         out.insert(e);
         let (a, b) = g.endpoints(e);
-        // `e` as one hop of a 2-path endpoint–other–x, covering the
-        // item {endpoint, x}. Both orientations of `e` are tried; the
-        // second hop {other, x} must already be in `h` (which includes
-        // the other edges of this batch). Each covered item {endpoint,
-        // x} requires x adjacent to both endpoints, so a merge over
-        // the two sorted neighbor slices finds every item and both its
-        // edge ids in one linear pass.
-        for (endpoint, other) in [(a, b), (b, a)] {
-            let (on, oe) = g.sorted_neighbor_slices(other);
-            let (en, ee) = g.sorted_neighbor_slices(endpoint);
-            let (mut p, mut q) = (0, 0);
-            while p < on.len() && q < en.len() {
-                match on[p].cmp(&en[q]) {
-                    std::cmp::Ordering::Less => p += 1,
-                    std::cmp::Ordering::Greater => q += 1,
-                    std::cmp::Ordering::Equal => {
-                        if h.contains(oe[p]) {
-                            out.insert(ee[q]);
-                        }
-                        p += 1;
-                        q += 1;
-                    }
-                }
+        // `e` as one hop of a 2-path a–b–x or b–a–x, covering the item
+        // {a, x} or {b, x}; the second hop must already be in `h`
+        // (which includes the other edges of this batch). Either item
+        // requires x adjacent to both endpoints, so one merge over the
+        // two sorted neighbor slices finds every item of both
+        // orientations, with all edge ids at hand.
+        let (an, ae) = g.sorted_neighbor_slices(a);
+        let (bn, be) = g.sorted_neighbor_slices(b);
+        merge_common(an, bn, |p, q| {
+            if h.contains(be[q]) {
+                out.insert(ae[p]);
             }
-        }
+            if h.contains(ae[p]) {
+                out.insert(be[q]);
+            }
+        });
     }
 }
 

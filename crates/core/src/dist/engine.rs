@@ -9,7 +9,8 @@
 //! skeleton:
 //!
 //! 1. every vertex builds its star search space over the still
-//!    uncovered items ([`SpannerVariant::local_stars`]) and computes
+//!    uncovered items ([`SpannerVariant::local_stars`] in the first
+//!    iteration, [`LocalStars::restricted_to`] after it) and computes
 //!    its densest-star density `ρ(v, H_v)` via the `dsa-flow` oracle;
 //! 2. if the maximum density is at (or, for client-server, below) the
 //!    variant's threshold, the remaining items are self-added
@@ -62,9 +63,17 @@
 //! only grows), so the engine instead maintains `uncovered`
 //! incrementally via [`SpannerVariant::covered_delta`], which reports
 //! only the items newly covered by the edges added this iteration —
-//! `O(Σ_{new e} deg)` work. The final termination pass still recomputes
-//! from scratch, so [`SpannerRun::converged`] is always grounded in a
-//! full check.
+//! `O(Σ_{new e} deg)` work. The run starts the same way: the
+//! preselected edges are the first delta, and nothing is computed when
+//! there are none. The final termination pass still recomputes from
+//! scratch, so [`SpannerRun::converged`] is always grounded in a full
+//! check.
+//!
+//! Star spaces follow `uncovered` the same way. Only the first
+//! iteration builds them from the graph; after it, a vertex whose
+//! items were all still uncovered keeps its space and density, and
+//! the others filter their stored space to the smaller set, which the
+//! [`SpannerVariant::local_stars`] contract makes equal to a rebuild.
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
@@ -116,8 +125,12 @@ pub trait SpannerVariant {
     /// Implementations may over-report items that were covered before
     /// (subtracting an already-covered item is a no-op) but must never
     /// miss a newly covered one, and must never report an uncovered
-    /// item. The default falls back to the full recompute, so custom
-    /// variants stay correct without implementing the fast path.
+    /// item. So with every edge of `h` as `new_edges`, the delta
+    /// restricted to the targets is exactly `covered(h)` restricted to
+    /// them: the engine seeds its uncovered set that way from
+    /// [`SpannerVariant::preselected`]. The default falls back to the
+    /// full recompute, so custom variants stay correct without
+    /// implementing the fast path.
     fn covered_delta(&self, h: &EdgeSet, new_edges: &[EdgeId], out: &mut EdgeSet) {
         let _ = new_edges;
         out.union_with(&self.covered(h));
@@ -126,6 +139,15 @@ pub trait SpannerVariant {
     /// The star search space of `v` with respect to the still
     /// `uncovered` items: the potential leaves and the uncovered items
     /// each leaf pair 2-spans.
+    ///
+    /// Contract: the leaves do not depend on `uncovered`, and each
+    /// pair's items are the members of `uncovered` in a set fixed by
+    /// `v` and the pair, listed in a fixed order. So for `U′ ⊆ U`,
+    /// `local_stars(v, U′)` equals `local_stars(v, U)` filtered to
+    /// `U′` ([`LocalStars::restricted_to`]): the same leaves, and the
+    /// same pairs in the same order, without the items outside `U′` and
+    /// without the pairs left empty. The engine calls this only in its
+    /// first iteration and derives every later space by that filter.
     fn local_stars(&self, v: VertexId, uncovered: &EdgeSet) -> LocalStars;
 
     /// The edges self-added to cover `item` at termination (step 7 of
@@ -488,7 +510,14 @@ pub fn run_engine_timed<V: SpannerVariant + Sync>(
     let mut h = variant.preselected();
     let targets = variant.targets();
     let mut uncovered = targets.clone();
-    uncovered.subtract(&variant.covered(&h));
+    let mut delta = EdgeSet::new(num_items);
+    // The preselected edges are the first coverage delta (see the
+    // `covered_delta` contract); most runs have none.
+    if !h.is_empty() {
+        let preselected: Vec<EdgeId> = h.iter().collect();
+        variant.covered_delta(&h, &preselected, &mut delta);
+        uncovered.subtract(&delta);
+    }
 
     let threshold = variant.threshold();
     let offset = variant.choice_exponent_offset();
@@ -508,14 +537,11 @@ pub fn run_engine_timed<V: SpannerVariant + Sync>(
     let mut max2: Vec<Ratio> = vec![Ratio::zero(); n];
     let mut rvs: Vec<u64> = vec![0; n];
     let mut new_edges: Vec<EdgeId> = Vec::new();
-    let mut delta = EdgeSet::new(num_items);
-    // Star spaces and densities carried across iterations. A vertex's
-    // LocalStars is a pure function of the (static) graph and the
-    // uncovered items inside its neighborhood, and `uncovered` only
-    // ever shrinks — so the stored space is still exact unless one of
-    // its pair items got covered since it was built. Checking that is
-    // a bitset probe per stored pair, vastly cheaper than the flow
-    // oracle the recompute would run.
+    // Star spaces and densities carried across iterations. `uncovered`
+    // only ever shrinks, so by the `local_stars` contract a vertex's
+    // current space is its stored one filtered to `uncovered`: one
+    // bitset probe per stored item, and the flow oracle runs again only
+    // when the filter removed something.
     let mut locals: Vec<LocalStars> = vec![LocalStars::default(); n];
     let mut rho: Vec<Ratio> = vec![Ratio::zero(); n];
     // The unrestricted densest star each Step 1 found — ρ(v)'s
@@ -545,15 +571,11 @@ pub fn run_engine_timed<V: SpannerVariant + Sync>(
                 let mut oracle = OracleScratch::default();
                 range
                     .map(|v| {
-                        let fresh = !first
-                            && locals[v]
-                                .pairs
-                                .iter()
-                                .all(|p| p.items.iter().all(|&item| uncovered.contains(item)));
-                        if fresh {
-                            return None;
-                        }
-                        let ls = variant.local_stars(v, &uncovered);
+                        let ls = if first {
+                            variant.local_stars(v, &uncovered)
+                        } else {
+                            locals[v].restricted_to(&uncovered)?
+                        };
                         let best = ls.densest_with(None, &mut oracle);
                         Some((ls, best))
                     })

@@ -46,9 +46,8 @@ pub fn greedy_2_spanner_weighted(g: &Graph, w: &EdgeWeights) -> EdgeSet {
     let mut uncovered = targets.clone();
     uncovered.subtract(&variant.covered(&h));
     let mut cache = StarCache::new(variant.num_vertices());
-    let mut newly_covered = EdgeSet::full(variant.num_items());
     while !uncovered.is_empty() {
-        cache.refresh(&variant, &uncovered, &newly_covered);
+        cache.refresh(&variant, &uncovered);
         let best = cache
             .global_best()
             .filter(|&(_, _, d)| d > Ratio::zero())
@@ -86,11 +85,8 @@ pub fn greedy_2_spanner_weighted(g: &Graph, w: &EdgeWeights) -> EdgeSet {
             (Some((v, member, _)), None) => take_star(&mut h, v, &member),
             (None, None) => break,
         }
-        let before = uncovered.clone();
         uncovered = targets.clone();
         uncovered.subtract(&variant.covered(&h));
-        newly_covered = before;
-        newly_covered.subtract(&uncovered);
     }
     h
 }
@@ -117,7 +113,9 @@ type CacheEntry = (LocalStars, Option<(Vec<bool>, Ratio)>);
 
 /// Incremental densest-star cache shared by the greedy baselines: a
 /// vertex's star space only changes when an item one of its pairs
-/// spans gets covered, so only such "dirty" vertices are recomputed.
+/// spans gets covered, so only such "dirty" vertices are recomputed,
+/// and their spaces are filtered as the engine's are
+/// ([`LocalStars::restricted_to`]).
 struct StarCache {
     entries: Vec<Option<CacheEntry>>,
 }
@@ -129,26 +127,20 @@ impl StarCache {
         }
     }
 
-    /// Refresh entries invalidated by `newly_covered`.
-    fn refresh<V: SpannerVariant>(
-        &mut self,
-        variant: &V,
-        uncovered: &EdgeSet,
-        newly_covered: &EdgeSet,
-    ) {
-        for v in 0..self.entries.len() {
-            let dirty = match &self.entries[v] {
-                None => true,
-                Some((ls, _)) => ls
-                    .pairs
-                    .iter()
-                    .any(|p| p.items.iter().any(|&it| newly_covered.contains(it))),
+    /// Brings every entry up to `uncovered`, which only shrinks
+    /// between calls: entries are built on the first call, and later
+    /// ones change only where an item of theirs got covered.
+    fn refresh<V: SpannerVariant>(&mut self, variant: &V, uncovered: &EdgeSet) {
+        for (v, entry) in self.entries.iter_mut().enumerate() {
+            let ls = match entry {
+                None => variant.local_stars(v, uncovered),
+                Some((ls, _)) => match ls.restricted_to(uncovered) {
+                    Some(ls) => ls,
+                    None => continue,
+                },
             };
-            if dirty {
-                let ls = variant.local_stars(v, uncovered);
-                let densest = ls.densest(None);
-                self.entries[v] = Some((ls, densest));
-            }
+            let densest = ls.densest(None);
+            *entry = Some((ls, densest));
         }
     }
 
@@ -178,12 +170,11 @@ fn greedy_over_variant<V: SpannerVariant>(variant: &V, stop_threshold: Ratio) ->
     let mut uncovered = targets.clone();
     uncovered.subtract(&variant.covered(&h));
     let mut cache = StarCache::new(variant.num_vertices());
-    let mut newly_covered = EdgeSet::full(variant.num_items());
     loop {
         if uncovered.is_empty() {
             return h;
         }
-        cache.refresh(variant, &uncovered, &newly_covered);
+        cache.refresh(variant, &uncovered);
         match cache.global_best() {
             Some((v, member, d)) if d >= stop_threshold => {
                 let ls = cache.stars_of(v);
@@ -200,11 +191,8 @@ fn greedy_over_variant<V: SpannerVariant>(variant: &V, stop_threshold: Ratio) ->
                     // progress, so finish with self-additions.
                     break;
                 }
-                let before = uncovered.clone();
                 uncovered = targets.clone();
                 uncovered.subtract(&variant.covered(&h));
-                newly_covered = before;
-                newly_covered.subtract(&uncovered);
             }
             _ => break,
         }

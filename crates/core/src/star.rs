@@ -16,7 +16,7 @@
 //!   only ever *shrink* the previously chosen star (Claim 4.4).
 
 use dsa_flow::{densest_weighted_subgraph_with, DensestScratch};
-use dsa_graphs::{Ratio, VertexId};
+use dsa_graphs::{EdgeSet, Ratio, VertexId};
 
 /// An inline list of at most two ids (edge ids or item indices).
 ///
@@ -105,7 +105,7 @@ impl FromIterator<usize> for IdList {
 }
 
 /// One potential leaf of a star centered at some vertex `v`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Leaf {
     /// The neighbor vertex this leaf stands for.
     pub vertex: VertexId,
@@ -119,7 +119,7 @@ pub struct Leaf {
 }
 
 /// An unordered pair of leaves that 2-spans one or more uncovered items.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Pair {
     /// Index of the first leaf in [`LocalStars::leaves`].
     pub a: usize,
@@ -162,7 +162,7 @@ pub struct OracleScratch {
 
 /// The star search space at one vertex for one iteration: its potential
 /// leaves and the uncovered items each leaf pair would 2-span.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LocalStars {
     /// Potential leaves (the neighbors of `v`), in ascending vertex order.
     pub leaves: Vec<Leaf>,
@@ -214,6 +214,43 @@ impl LocalStars {
     /// Whether no pair spans anything (density 0 for every star).
     pub fn is_empty(&self) -> bool {
         self.pairs.is_empty()
+    }
+
+    /// This space over the items still in `uncovered`, or `None` when
+    /// none of its items has left `uncovered`. Covered items leave
+    /// their pairs and emptied pairs are dropped; the leaves and the
+    /// order of the remaining pairs stay as they are.
+    ///
+    /// By the contract of
+    /// [`SpannerVariant::local_stars`](crate::dist::SpannerVariant::local_stars),
+    /// when this space was built over a superset of `uncovered`, the
+    /// result equals rebuilding it over `uncovered`.
+    pub fn restricted_to(&self, uncovered: &EdgeSet) -> Option<LocalStars> {
+        let first = self
+            .pairs
+            .iter()
+            .position(|p| p.items.iter().any(|&item| !uncovered.contains(item)))?;
+        let mut pairs = Vec::with_capacity(self.pairs.len());
+        pairs.extend_from_slice(&self.pairs[..first]);
+        for p in &self.pairs[first..] {
+            let items: IdList = p
+                .items
+                .iter()
+                .copied()
+                .filter(|&item| uncovered.contains(item))
+                .collect();
+            if !items.is_empty() {
+                pairs.push(Pair {
+                    a: p.a,
+                    b: p.b,
+                    items,
+                });
+            }
+        }
+        Some(LocalStars {
+            leaves: self.leaves.clone(),
+            pairs,
+        })
     }
 
     /// Number of uncovered items 2-spanned by the leaf set `member`.

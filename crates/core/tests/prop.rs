@@ -1,16 +1,20 @@
 //! Property tests for the core algorithms: star selection invariants
-//! (Section 4.1), engine/baseline sandwich bounds, and verifier
-//! consistency.
+//! (Section 4.1), engine/baseline sandwich bounds, verifier
+//! consistency, and the two variant contracts the engine's carried
+//! state rests on.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dsa_core::dist::{min_2_spanner, EngineConfig};
+use dsa_core::dist::{
+    min_2_spanner, ClientServerTwoSpanner, DirectedTwoSpanner, EngineConfig, SpannerVariant,
+    UndirectedTwoSpanner, WeightedTwoSpanner,
+};
 use dsa_core::seq::{exact_min_2_spanner, exact_min_k_spanner, greedy_2_spanner};
 use dsa_core::star::{pow2_ratio, IdList, Leaf, LocalStars, Pair};
 use dsa_core::verify::{is_k_spanner, uncovered_edges};
-use dsa_graphs::{gen, Graph, Ratio};
+use dsa_graphs::{gen, EdgeId, EdgeSet, Graph, Ratio};
 
 fn arb_connected(max_n: usize) -> impl Strategy<Value = Graph> {
     (3usize..max_n, 0u64..400, 1u32..5).prop_map(|(n, seed, d)| {
@@ -47,6 +51,95 @@ fn arb_local_stars() -> impl Strategy<Value = LocalStars> {
         }
         LocalStars { leaves, pairs }
     })
+}
+
+/// Checks on `variant`, with sets drawn from `rng` (each member kept
+/// with probability `keep`), the two contracts the engine relies on
+/// to carry state across iterations:
+///
+/// 1. for nested `U′ ⊆ U`, every vertex's star space over `U′` is its
+///    space over `U` filtered to `U′`, and the filter reports a change
+///    exactly when there is one;
+/// 2. with every edge of `h` new, `covered_delta` matches `covered(h)`
+///    on the targets, for `h` the preselected edges plus a random
+///    subset of `addable`, the edges the engine may add.
+fn check_engine_contracts<V: SpannerVariant>(
+    variant: &V,
+    addable: &EdgeSet,
+    keep: f64,
+    rng: &mut StdRng,
+) -> Result<(), TestCaseError> {
+    use rand::Rng;
+    let items = variant.num_items();
+    let mut wide = EdgeSet::new(items);
+    let mut narrow = EdgeSet::new(items);
+    for item in 0..items {
+        if rng.gen_bool(keep) {
+            wide.insert(item);
+            if rng.gen_bool(keep) {
+                narrow.insert(item);
+            }
+        }
+    }
+    for v in 0..variant.num_vertices() {
+        let stored = variant.local_stars(v, &wide);
+        let rebuilt = variant.local_stars(v, &narrow);
+        let filtered = stored.restricted_to(&narrow);
+        prop_assert_eq!(filtered.is_some(), stored != rebuilt, "vertex {}", v);
+        prop_assert_eq!(filtered.unwrap_or(stored), rebuilt, "vertex {}", v);
+    }
+
+    let mut h = variant.preselected();
+    for e in addable.iter() {
+        if rng.gen_bool(keep) {
+            h.insert(e);
+        }
+    }
+    let ids: Vec<EdgeId> = h.iter().collect();
+    let targets = variant.targets();
+    let mut delta = EdgeSet::new(items);
+    variant.covered_delta(&h, &ids, &mut delta);
+    delta.intersect_with(&targets);
+    let mut covered = variant.covered(&h);
+    covered.intersect_with(&targets);
+    prop_assert_eq!(delta, covered);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Star spaces filter like rebuilds, and a delta over all of `h`
+    /// is `covered(h)`, on random instances of all four variants.
+    #[test]
+    fn variants_meet_the_engine_contracts(
+        n in 4usize..22,
+        seed in 0u64..500,
+        density in 1u32..5,
+        keep in 2u32..=4,
+    ) {
+        let keep = f64::from(keep) / 4.0;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = gen::gnp_connected(n, 0.08 * f64::from(density), &mut rng);
+        let all = EdgeSet::full(g.num_edges());
+        let w = gen::random_weights(g.num_edges(), 0, 5, &mut rng);
+        let (clients, servers) = gen::client_server_split(&g, 0.6, 0.6, &mut rng);
+        let d = gen::random_digraph_connected(n, 0.05 * f64::from(density), &mut rng);
+        check_engine_contracts(&UndirectedTwoSpanner::new(&g), &all, keep, &mut rng)?;
+        check_engine_contracts(&WeightedTwoSpanner::new(&g, &w), &all, keep, &mut rng)?;
+        check_engine_contracts(
+            &ClientServerTwoSpanner::new(&g, &clients, &servers),
+            &servers,
+            keep,
+            &mut rng,
+        )?;
+        check_engine_contracts(
+            &DirectedTwoSpanner::new(&d),
+            &EdgeSet::full(d.num_edges()),
+            keep,
+            &mut rng,
+        )?;
+    }
 }
 
 proptest! {

@@ -135,21 +135,23 @@ proptest! {
 // ---------------------------------------------------------------------
 
 /// Delegates everything to `inner`, but cross-checks every
-/// `covered_delta` call: the union of the initial `covered()` result
-/// and all deltas so far, restricted to the targets, must equal the
-/// from-scratch recompute — exactly the invariant the engine's
-/// uncovered-set maintenance rests on.
+/// `covered_delta` call: the union of the latest `covered()` result
+/// (or the empty set, `covered(∅)`, before any) and all deltas since,
+/// restricted to the targets, must equal the from-scratch recompute —
+/// exactly the invariant the engine's uncovered-set maintenance rests
+/// on, including the start-up delta of the preselected edges.
 struct CoverageChecked<V: SpannerVariant> {
     inner: V,
-    cumulative: Mutex<Option<EdgeSet>>,
+    cumulative: Mutex<EdgeSet>,
     delta_checks: AtomicUsize,
 }
 
 impl<V: SpannerVariant> CoverageChecked<V> {
     fn new(inner: V) -> Self {
+        let empty = EdgeSet::new(inner.num_items());
         CoverageChecked {
             inner,
-            cumulative: Mutex::new(None),
+            cumulative: Mutex::new(empty),
             delta_checks: AtomicUsize::new(0),
         }
     }
@@ -174,14 +176,13 @@ impl<V: SpannerVariant> SpannerVariant for CoverageChecked<V> {
 
     fn covered(&self, h: &EdgeSet) -> EdgeSet {
         let covered = self.inner.covered(h);
-        *self.cumulative.lock().unwrap() = Some(covered.clone());
+        *self.cumulative.lock().unwrap() = covered.clone();
         covered
     }
 
     fn covered_delta(&self, h: &EdgeSet, new_edges: &[EdgeId], out: &mut EdgeSet) {
         self.inner.covered_delta(h, new_edges, out);
-        let mut guard = self.cumulative.lock().unwrap();
-        let cumulative = guard.as_mut().expect("covered() runs before any delta");
+        let mut cumulative = self.cumulative.lock().unwrap();
         cumulative.union_with(out);
         // Deltas may over-report non-target items; the engine only
         // ever subtracts them from target sets, so compare modulo the
