@@ -141,8 +141,9 @@ pub trait SpannerVariant {
     /// each leaf pair 2-spans.
     ///
     /// Contract: the leaves do not depend on `uncovered`, and each
-    /// pair's items are the members of `uncovered` in a set fixed by
-    /// `v` and the pair, listed in a fixed order. So for `U′ ⊆ U`,
+    /// leaf pair's items are the members of `uncovered` in a list fixed
+    /// by `v` and the pair, in that list's order; the pairs with an
+    /// item appear in an order fixed by `v`. So for `U′ ⊆ U`,
     /// `local_stars(v, U′)` equals `local_stars(v, U)` filtered to
     /// `U′` ([`LocalStars::restricted_to`]): the same leaves, and the
     /// same pairs in the same order, without the items outside `U′` and
