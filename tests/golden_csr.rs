@@ -15,6 +15,10 @@
 //! so the engine's incremental state (carried star spaces, coverage
 //! deltas) cannot drift on any path the service runs.
 //!
+//! The third pins the spanners of the four sequential greedy baselines
+//! (`dsa_core::seq`) on both instance tables, so the way they track
+//! coverage between greedy steps cannot change what they return.
+//!
 //! Regenerate (only when an *intentional* result change lands, e.g. a
 //! new RNG stream) with:
 //!
@@ -309,5 +313,70 @@ fn spanner_run_bytes_are_pinned_at_cold_shape_and_under_ablations() {
     for ((label, d), &(glabel, gd)) in rows.iter().zip(&GOLDEN_ENGINE_PATHS) {
         assert_eq!(label, glabel, "golden table order");
         assert_eq!(*d, gd, "{label}: SpannerRun digest changed");
+    }
+}
+
+/// FNV-1a over an edge set's universe, size and ids.
+fn set_digest(h: &dsa_graphs::EdgeSet) -> u64 {
+    let mut d = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            d ^= u64::from(b);
+            d = d.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    eat(h.universe() as u64);
+    eat(h.len() as u64);
+    for e in h.iter() {
+        eat(e as u64);
+    }
+    d
+}
+
+/// instance label, expected digest of the sequential greedy baseline's
+/// spanner, over both instance tables (the weighted ones include
+/// weight-0 edges, which the weighted greedy preselects).
+const GOLDEN_GREEDY: [(&str, u64); 10] = [
+    ("undirected", 0x3a43c9b2406200f0),
+    ("directed", 0xd989ac41a0910504),
+    ("weighted", 0x7f1770f75cf0babb),
+    ("client-server", 0x307a29b2c1bc9cba),
+    ("cold-undirected", 0xc8deb5e57261b3cf),
+    ("cold-directed", 0x9b2ea3c032d34990),
+    ("cold-weighted", 0x038be5049e7fcd07),
+    ("cold-weighted-zero", 0x538262313ddcbc01),
+    ("cold-client-server", 0x122df7187d55a396),
+    ("dense-directed", 0xe3519711be005d28),
+];
+
+#[test]
+fn greedy_baseline_bytes_are_pinned() {
+    use dsa_core::seq;
+    let mut rows: Vec<(&str, u64)> = Vec::new();
+    for (name, instance) in instances().into_iter().chain(engine_path_instances()) {
+        let h = match &instance {
+            VariantInstance::Undirected { graph } => seq::greedy_2_spanner(graph),
+            VariantInstance::Directed { graph } => seq::greedy_2_spanner_directed(graph),
+            VariantInstance::Weighted { graph, weights } => {
+                seq::greedy_2_spanner_weighted(graph, weights)
+            }
+            VariantInstance::ClientServer {
+                graph,
+                clients,
+                servers,
+            } => seq::greedy_2_spanner_client_server(graph, clients, servers),
+        };
+        rows.push((name, set_digest(&h)));
+    }
+    if std::env::var_os("GOLDEN_CSR_PRINT").is_some() {
+        for (label, d) in &rows {
+            println!("    (\"{label}\", {d:#018x}),");
+        }
+        return;
+    }
+    assert_eq!(rows.len(), GOLDEN_GREEDY.len(), "golden table size");
+    for ((label, d), &(glabel, gd)) in rows.iter().zip(&GOLDEN_GREEDY) {
+        assert_eq!(*label, glabel, "golden table order");
+        assert_eq!(*d, gd, "{label}: greedy spanner digest changed");
     }
 }
