@@ -42,16 +42,12 @@ pub fn greedy_2_spanner(g: &Graph) -> EdgeSet {
 pub fn greedy_2_spanner_weighted(g: &Graph, w: &EdgeWeights) -> EdgeSet {
     let variant = WeightedTwoSpanner::new(g, w);
     let mut h = variant.preselected();
-    let targets = variant.targets();
-    let mut uncovered = targets.clone();
+    let mut uncovered = variant.targets();
     uncovered.subtract(&variant.covered(&h));
     let mut cache = StarCache::new(variant.num_vertices());
     while !uncovered.is_empty() {
         cache.refresh(&variant, &uncovered);
-        let best = cache
-            .global_best()
-            .filter(|&(_, _, d)| d > Ratio::zero())
-            .map(|(v, member, d)| (v, member.clone(), d));
+        let best = cache.global_best().filter(|&(_, _, d)| d > Ratio::zero());
         // Cheapest direct edge addition has "density" 1/w(e).
         let direct: Option<(EdgeId, Ratio)> = uncovered
             .iter()
@@ -67,28 +63,36 @@ pub fn greedy_2_spanner_weighted(g: &Graph, w: &EdgeWeights) -> EdgeSet {
                 )
             })
             .max_by_key(|&(_, d)| d);
-        let take_star = |h: &mut EdgeSet, v: VertexId, member: &[bool]| {
-            let ls = cache.stars_of(v);
-            for (leaf, &m) in ls.leaves.iter().zip(member) {
-                if m {
-                    for &edge in &leaf.edges {
-                        h.insert(edge);
-                    }
+        let mut added = Vec::new();
+        match (best, direct) {
+            (Some((v, member, d)), Some((_, dd))) if d >= dd => {
+                cache.add_star(&mut h, v, member, &mut added)
+            }
+            (_, Some((e, _))) => {
+                if h.insert(e) {
+                    added.push(e);
                 }
             }
-        };
-        match (best, direct) {
-            (Some((v, member, d)), Some((_, dd))) if d >= dd => take_star(&mut h, v, &member),
-            (_, Some((e, _))) => {
-                h.insert(e);
-            }
-            (Some((v, member, _)), None) => take_star(&mut h, v, &member),
+            (Some((v, member, _)), None) => cache.add_star(&mut h, v, member, &mut added),
             (None, None) => break,
         }
-        uncovered = targets.clone();
-        uncovered.subtract(&variant.covered(&h));
+        subtract_delta(&variant, &h, &added, &mut uncovered);
     }
     h
+}
+
+/// Takes the items the edges `added` (already in `h`) newly cover out
+/// of `uncovered`, through the variant's exact coverage delta (the
+/// same contract the engine relies on).
+fn subtract_delta<V: SpannerVariant>(
+    variant: &V,
+    h: &EdgeSet,
+    added: &[EdgeId],
+    uncovered: &mut EdgeSet,
+) {
+    let mut delta = EdgeSet::new(variant.num_items());
+    variant.covered_delta(h, added, &mut delta);
+    uncovered.subtract(&delta);
 }
 
 /// Sequential greedy directed 2-spanner, via the Section-4.3.1 proxy
@@ -157,8 +161,19 @@ impl StarCache {
             .max_by(|a, b| a.2.cmp(&b.2).then(b.0.cmp(&a.0)))
     }
 
-    fn stars_of(&self, v: VertexId) -> &LocalStars {
-        &self.entries[v].as_ref().expect("refreshed").0
+    /// Adds the leaves `member` selects from `v`'s star space to `h`,
+    /// recording in `added` the edges that were not in `h` yet.
+    fn add_star(&self, h: &mut EdgeSet, v: VertexId, member: &[bool], added: &mut Vec<EdgeId>) {
+        let ls = &self.entries[v].as_ref().expect("refreshed").0;
+        for (leaf, &m) in ls.leaves.iter().zip(member) {
+            if m {
+                for &edge in &leaf.edges {
+                    if h.insert(edge) {
+                        added.push(edge);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -166,8 +181,7 @@ impl StarCache {
 /// reaches `stop_threshold`, then self-add whatever is uncovered.
 fn greedy_over_variant<V: SpannerVariant>(variant: &V, stop_threshold: Ratio) -> EdgeSet {
     let mut h = variant.preselected();
-    let targets = variant.targets();
-    let mut uncovered = targets.clone();
+    let mut uncovered = variant.targets();
     uncovered.subtract(&variant.covered(&h));
     let mut cache = StarCache::new(variant.num_vertices());
     loop {
@@ -177,22 +191,14 @@ fn greedy_over_variant<V: SpannerVariant>(variant: &V, stop_threshold: Ratio) ->
         cache.refresh(variant, &uncovered);
         match cache.global_best() {
             Some((v, member, d)) if d >= stop_threshold => {
-                let ls = cache.stars_of(v);
-                let mut changed = false;
-                for (leaf, &m) in ls.leaves.iter().zip(member) {
-                    if m {
-                        for &edge in &leaf.edges {
-                            changed |= h.insert(edge);
-                        }
-                    }
-                }
-                if !changed {
+                let mut added = Vec::new();
+                cache.add_star(&mut h, v, member, &mut added);
+                if added.is_empty() {
                     // Defensive: a stale densest star cannot make
                     // progress, so finish with self-additions.
                     break;
                 }
-                uncovered = targets.clone();
-                uncovered.subtract(&variant.covered(&h));
+                subtract_delta(variant, &h, &added, &mut uncovered);
             }
             _ => break,
         }
