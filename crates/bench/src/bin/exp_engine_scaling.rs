@@ -89,6 +89,12 @@ const OVERHEAD_MAX_RATIO: f64 = 1.03;
 /// [`ABS_SLACK_SECS`]: a ratio alone is meaningless inside clock noise.
 const OVERHEAD_SLACK_SECS: f64 = 0.015;
 
+/// Repetitions of the overhead check. Each times one run with
+/// collection off and one with it on, back to back in alternating
+/// order, so both sides see the same host drift; the best of each side
+/// is compared.
+const OVERHEAD_REPS: usize = 7;
+
 struct Args {
     n: usize,
     ci: bool,
@@ -457,30 +463,31 @@ fn run_gate(args: &Args) -> (String, Vec<String>) {
 
 /// The instrumentation-overhead check: per-section/per-shard timing
 /// collection (`collect_timings`) must cost < [`OVERHEAD_MAX_RATIO`]
-/// single-core on the gate instances. Best-of-[`GATE_REPS`] per
-/// configuration; results are asserted byte-identical across the
-/// toggle before any timing is reported.
+/// single-core on the gate instances. Best-of-[`OVERHEAD_REPS`] per
+/// configuration, off and on alternating; results are asserted
+/// byte-identical across the toggle before any timing is reported.
 fn run_overhead_check() -> (String, Vec<String>) {
     let mut rows = String::new();
     let mut failures = Vec::new();
     for (name, instance) in gate_instances() {
+        let configs = [false, true].map(|collect| EngineConfig {
+            collect_timings: collect,
+            ..EngineConfig::seeded(7)
+        });
         let mut best = [f64::INFINITY; 2];
         let mut runs: [Option<SpannerRun>; 2] = [None, None];
-        for (slot, collect) in [false, true].into_iter().enumerate() {
-            let cfg = EngineConfig {
-                collect_timings: collect,
-                ..EngineConfig::seeded(7)
-            };
-            for _ in 0..GATE_REPS {
+        for rep in 0..OVERHEAD_REPS {
+            // Off first on even repetitions, on first on odd ones.
+            for slot in [rep % 2, 1 - rep % 2] {
                 let t0 = Instant::now();
-                let run = run_variant(&instance, &cfg);
+                let run = run_variant(&instance, &configs[slot]);
                 best[slot] = best[slot].min(t0.elapsed().as_secs_f64());
                 runs[slot] = Some(run);
             }
         }
         let (off_run, on_run) = (
-            runs[0].take().expect("GATE_REPS >= 1"),
-            runs[1].take().expect("GATE_REPS >= 1"),
+            runs[0].take().expect("OVERHEAD_REPS >= 1"),
+            runs[1].take().expect("OVERHEAD_REPS >= 1"),
         );
         assert_eq!(
             off_run.spanner, on_run.spanner,
