@@ -40,6 +40,16 @@ pub struct Fnv1a(u64);
 impl Fnv1a {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
+    /// `PRIME^k` (wrapping) for `k` in `0..=8`.
+    const PRIME_POWERS: [u64; 9] = {
+        let mut powers = [1u64; 9];
+        let mut k = 1;
+        while k < 9 {
+            powers[k] = powers[k - 1].wrapping_mul(Self::PRIME);
+            k += 1;
+        }
+        powers
+    };
 
     /// A hasher at the standard FNV offset basis.
     pub fn new() -> Self {
@@ -47,11 +57,22 @@ impl Fnv1a {
     }
 
     /// Absorbs the bytes of `x` in little-endian order.
+    ///
+    /// Once the bytes left are all zero, each of them only multiplies
+    /// the state by `PRIME` (xor with 0 changes nothing), so the `k`
+    /// high zero bytes fold into one multiplication by `PRIME^k`:
+    /// wrapping multiplication is associative, so the result is the
+    /// byte-at-a-time FNV-1a exactly.
     pub fn write_u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 ^= u64::from(b);
+        let mut rest = x;
+        let mut zero_bytes = 8;
+        while rest != 0 {
+            self.0 ^= rest & 0xff;
             self.0 = self.0.wrapping_mul(Self::PRIME);
+            rest >>= 8;
+            zero_bytes -= 1;
         }
+        self.0 = self.0.wrapping_mul(Self::PRIME_POWERS[zero_bytes]);
     }
 
     /// Absorbs a `usize` (as `u64`, so 32- and 64-bit hosts agree).
@@ -208,7 +229,7 @@ impl CanonicalEdges {
         Self::of_unique(
             g.num_vertices(),
             false,
-            g.edges().map(|(e, u, v)| ((u, v), e)).collect(),
+            g.edges().map(|(_, u, v)| (u, v)).collect(),
             weights,
         )
     }
@@ -219,18 +240,19 @@ impl CanonicalEdges {
         Self::of_unique(
             g.num_vertices(),
             true,
-            g.edges().map(|(e, u, v)| ((u, v), e)).collect(),
+            g.edges().map(|(_, u, v)| (u, v)).collect(),
             None,
         )
     }
 
+    /// `keys[e]` is the key of edge `e`; the keys are distinct.
     fn of_unique(
         n: usize,
         directed: bool,
-        mut order: Vec<((VertexId, VertexId), EdgeId)>,
+        keys: Vec<(VertexId, VertexId)>,
         weights: Option<&EdgeWeights>,
     ) -> Self {
-        order.sort_unstable();
+        let order = sorted_by_key(n, keys);
         CanonicalEdges {
             keys: EdgeKeys {
                 n,
@@ -315,8 +337,8 @@ impl CanonicalEdges {
 pub struct KeyBuilder {
     n: usize,
     directed: bool,
-    /// `(key, arrival)` of each row that is not a self-loop.
-    rows: Vec<((VertexId, VertexId), usize)>,
+    /// The key of each row that is not a self-loop, by arrival.
+    keys: Vec<(VertexId, VertexId)>,
     /// The third field of each such row, by arrival.
     weights: Vec<Option<u64>>,
 }
@@ -327,7 +349,7 @@ impl KeyBuilder {
         KeyBuilder {
             n,
             directed,
-            rows: Vec::new(),
+            keys: Vec::new(),
             weights: Vec::new(),
         }
     }
@@ -352,7 +374,7 @@ impl KeyBuilder {
             undirected_key(u, v)
         };
         if let Some(key) = key {
-            self.rows.push((key, self.weights.len()));
+            self.keys.push(key);
             self.weights.push(weight);
         }
         Ok(())
@@ -360,10 +382,9 @@ impl KeyBuilder {
 
     /// Sorts and deduplicates the rows into canonical form.
     pub fn finish(self) -> Result<CanonicalEdges, ParseGraphError> {
-        let mut rows = self.rows;
         // Arrival breaks ties, so each key's first occurrence sorts
         // first within its run.
-        rows.sort_unstable();
+        let rows = sorted_by_key(self.n, self.keys);
         let mut keys: Vec<(VertexId, VertexId)> = Vec::with_capacity(rows.len());
         let mut first: Vec<usize> = Vec::with_capacity(rows.len());
         for &(key, arrival) in &rows {
@@ -416,6 +437,45 @@ impl KeyBuilder {
             from_canonical,
         })
     }
+}
+
+/// `(keys[i], i)` for every `i`, sorted: by key, then by index. Each
+/// triple `(u, v, i)` is packed into one `u64`, `u` and `v` in as many
+/// bits as `n - 1` needs and `i` in as many as `keys.len() - 1` needs,
+/// so one integer sort orders them exactly as the tuples would order.
+/// Only when those widths exceed 64 bits are the tuples sorted
+/// themselves.
+///
+/// Every `u` and `v` must be below `n`.
+fn sorted_by_key(n: usize, keys: Vec<(VertexId, VertexId)>) -> Vec<((VertexId, VertexId), usize)> {
+    let width = |x: usize| usize::BITS - x.leading_zeros();
+    let vertex_bits = width(n.saturating_sub(1));
+    // At most 59: a Vec of 16-byte keys has fewer than 2^59 entries.
+    let index_bits = width(keys.len().saturating_sub(1));
+    if 2 * vertex_bits + index_bits > u64::BITS {
+        let mut rows: Vec<_> = keys.into_iter().zip(0..).collect();
+        rows.sort_unstable();
+        return rows;
+    }
+    let mut packed: Vec<u64> = keys
+        .iter()
+        .zip(0u64..)
+        .map(|(&(u, v), i)| ((u as u64) << vertex_bits | v as u64) << index_bits | i)
+        .collect();
+    drop(keys);
+    packed.sort_unstable();
+    let vertex_mask = (1u64 << vertex_bits) - 1;
+    let index_mask = (1u64 << index_bits) - 1;
+    packed
+        .into_iter()
+        .map(|p| {
+            let key = p >> index_bits;
+            (
+                ((key >> vertex_bits) as usize, (key & vertex_mask) as usize),
+                (p & index_mask) as usize,
+            )
+        })
+        .collect()
 }
 
 /// A graph rebuilt with edge ids in canonical (sorted endpoint-pair)
@@ -585,6 +645,81 @@ mod tests {
             assert_eq!(canon.from_canonical[canon.to_canonical[e]], e);
         }
         assert_eq!(digraph_hash(&g), digraph_hash(&canon.graph));
+    }
+
+    /// The byte-at-a-time loop that `write_u64` folds: the reference.
+    fn write_u64_bytewise(h: &mut Fnv1a, x: u64) {
+        for b in x.to_le_bytes() {
+            h.0 ^= u64::from(b);
+            h.0 = h.0.wrapping_mul(Fnv1a::PRIME);
+        }
+    }
+
+    #[test]
+    fn folded_write_u64_equals_the_byte_loop() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut values = vec![0, 1, u64::MAX];
+        for k in 1..8 {
+            values.push((1u64 << (8 * k)) - 1);
+            values.push(1u64 << (8 * k));
+        }
+        let mut rng = StdRng::seed_from_u64(8);
+        for _ in 0..2000 {
+            // Every byte length, from 1 to 8 significant bytes.
+            values.push(rng.gen::<u64>() >> (8 * rng.gen_range(0..8)));
+        }
+        let (mut folded, mut bytewise) = (Fnv1a::new(), Fnv1a::new());
+        for &x in &values {
+            folded.write_u64(x);
+            write_u64_bytewise(&mut bytewise, x);
+            assert_eq!(folded.finish(), bytewise.finish(), "after {x:#x}");
+        }
+    }
+
+    /// Checks `sorted_by_key` against the tuple sort, and returns
+    /// whether the keys fit the packed form.
+    fn check_sorted_by_key(n: usize, keys: &[(VertexId, VertexId)]) -> bool {
+        let mut expected: Vec<_> = keys.iter().copied().zip(0..).collect();
+        expected.sort_unstable();
+        assert_eq!(sorted_by_key(n, keys.to_vec()), expected, "n = {n}");
+        let width = |x: usize| usize::BITS - x.leading_zeros();
+        2 * width(n - 1) + width(keys.len().saturating_sub(1)) <= 64
+    }
+
+    #[test]
+    fn packed_sort_equals_the_tuple_sort() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(9);
+        let random_keys = |rng: &mut StdRng, n: usize, len: usize| -> Vec<_> {
+            (0..len)
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                .collect()
+        };
+        // Small instances, with repeated keys.
+        for _ in 0..500 {
+            let n = rng.gen_range(1..12);
+            let len = rng.gen_range(0..40);
+            let keys = random_keys(&mut rng, n, len);
+            assert!(check_sorted_by_key(n, &keys));
+        }
+        // On both sides of the 64-bit limit: n = 2^30 takes 30 bits per
+        // endpoint, so 16 rows (4 index bits) pack and 17 do not; so
+        // for n = 2^32 with 1 and 2 rows, and n = 2^32 + 1 with 1 row.
+        for (n, len, packs) in [
+            (1 << 30, 16, true),
+            (1 << 30, 17, false),
+            (1 << 32, 1, true),
+            (1 << 32, 2, false),
+            ((1 << 32) + 1, 1, false),
+        ] {
+            for _ in 0..20 {
+                let mut keys = random_keys(&mut rng, n, len);
+                keys[0] = (n - 1, n - 1);
+                assert_eq!(check_sorted_by_key(n, &keys), packs, "n = {n}");
+            }
+        }
     }
 
     #[test]

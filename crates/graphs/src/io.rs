@@ -11,7 +11,6 @@
 //! the simple-graph invariants and its [`crate::canon::graph_hash`]
 //! agrees with the hash of any other spelling of the same edge set.
 
-use std::fmt::Write as _;
 use std::num::ParseIntError;
 
 use crate::canon::{CanonicalEdges, EdgeKeys, KeyBuilder};
@@ -56,18 +55,41 @@ impl From<(usize, ParseIntError)> for ParseGraphError {
     }
 }
 
+/// Appends the decimal digits of `x` to `out`: the bytes
+/// `write!(out, "{x}")` appends, without the formatting machinery.
+pub fn write_decimal(out: &mut String, x: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut rest = x;
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
+}
+
 /// Writes the `# n` header and one line per `(u, v, weight)` row.
 fn write_rows(
     out: &mut String,
     n: usize,
     rows: impl Iterator<Item = (VertexId, VertexId, Option<u64>)>,
 ) {
-    let _ = writeln!(out, "# n {n}");
+    out.push_str("# n ");
+    write_decimal(out, n as u64);
+    out.push('\n');
     for (u, v, w) in rows {
-        let _ = match w {
-            Some(w) => writeln!(out, "{u} {v} {w}"),
-            None => writeln!(out, "{u} {v}"),
-        };
+        write_decimal(out, u as u64);
+        out.push(' ');
+        write_decimal(out, v as u64);
+        if let Some(w) = w {
+            out.push(' ');
+            write_decimal(out, w);
+        }
+        out.push('\n');
     }
 }
 
@@ -112,39 +134,156 @@ pub fn write_keys(out: &mut String, keys: &EdgeKeys) {
 /// or 3).
 type Row = (usize, [u64; 3], usize);
 
+/// A cursor over an edge list's bytes. Lines end at `\n`, and fields
+/// are split where `str::split_whitespace` splits them: at every
+/// `char` with `char::is_whitespace`. It reads bytes and decodes a
+/// `char` only at a byte of 0x80 or more, to test that property.
+struct Scanner<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Scanner<'a> {
+    /// Whether the byte at the cursor starts whitespace, and the length
+    /// of its `char`; `None` at the end of the text.
+    fn space(&self) -> Option<(bool, usize)> {
+        let b = *self.text.as_bytes().get(self.pos)?;
+        Some(match b {
+            b' ' | b'\t' | b'\n' | 0x0b | 0x0c | b'\r' => (true, 1),
+            0..=0x7f => (false, 1),
+            _ => self.text[self.pos..]
+                .chars()
+                .next()
+                .map_or((false, 1), |c| (c.is_whitespace(), c.len_utf8())),
+        })
+    }
+
+    /// Moves past whitespace within the line: `true` at the first byte
+    /// of a field, `false` at a `\n` or the end of the text.
+    fn next_field(&mut self) -> bool {
+        while let Some((space, len)) = self.space() {
+            if !space {
+                return true;
+            }
+            if self.text.as_bytes()[self.pos] == b'\n' {
+                return false;
+            }
+            self.pos += len;
+        }
+        false
+    }
+
+    /// Moves past the rest of the field at the cursor.
+    fn skip_field(&mut self) {
+        while let Some((false, len)) = self.space() {
+            self.pos += len;
+        }
+    }
+
+    /// The field at the cursor as text; the cursor moves past it.
+    fn text(&mut self) -> &'a str {
+        let start = self.pos;
+        self.skip_field();
+        &self.text[start..self.pos]
+    }
+
+    /// The field at the cursor read as `u64::from_str` reads it: one
+    /// optional `+`, then ASCII digits, without overflow. The cursor
+    /// moves past the field either way.
+    fn number(&mut self) -> Option<u64> {
+        let bytes = self.text.as_bytes();
+        if bytes.get(self.pos) == Some(&b'+') {
+            self.pos += 1;
+        }
+        let start = self.pos;
+        let mut value = Some(0u64);
+        while let Some(d) = bytes.get(self.pos).map(|b| b.wrapping_sub(b'0')) {
+            if d > 9 {
+                break;
+            }
+            value = value
+                .and_then(|x| x.checked_mul(10))
+                .and_then(|x| x.checked_add(u64::from(d)));
+            self.pos += 1;
+        }
+        if let Some((false, _)) = self.space() {
+            self.skip_field();
+            return None;
+        }
+        value.filter(|_| self.pos > start)
+    }
+
+    /// After the `#` of a comment line: `Some` when the rest of the
+    /// line is exactly the two fields `n <count>`, holding the count if
+    /// it is a number.
+    fn header(&mut self) -> Option<Option<u64>> {
+        if !(self.next_field() && self.text() == "n" && self.next_field()) {
+            return None;
+        }
+        let count = self.number();
+        (!self.next_field()).then_some(count)
+    }
+
+    /// Moves to the `\n` that ends the line, or to the end of the text.
+    fn skip_line(&mut self) {
+        self.pos = self.text[self.pos..]
+            .find('\n')
+            .map_or(self.text.len(), |i| self.pos + i);
+    }
+}
+
+/// Splits an edge list into its `# n` count and its data lines: blank
+/// lines are skipped, a line whose first field starts with `#` is a
+/// comment, the first comment that reads `# n <count>` is the header,
+/// and every other line must hold two or three numbers.
 fn parse_lines(text: &str) -> Result<(usize, Vec<Row>), ParseGraphError> {
     let mut n: Option<usize> = None;
     let mut rows = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('#') {
-            let mut fields = rest.split_whitespace();
-            if let (None, Some("n"), Some(count), None) =
-                (n, fields.next(), fields.next(), fields.next())
-            {
-                n = Some(count.parse().map_err(|e| (line_no, e))?);
+    let mut s = Scanner { text, pos: 0 };
+    let mut line_no = 1;
+    while s.pos < text.len() {
+        if !s.next_field() {
+            if s.pos < text.len() {
+                // At the `\n` ending this line.
+                s.pos += 1;
+                line_no += 1;
             }
             continue;
         }
-        let mut fields = [""; 3];
+        if text.as_bytes()[s.pos] == b'#' {
+            s.pos += 1;
+            if n.is_none() {
+                if let Some(count) = s.header() {
+                    let count = count.and_then(|c| usize::try_from(c).ok());
+                    n = Some(count.ok_or(ParseGraphError::BadNumber(line_no))?);
+                }
+            }
+            s.skip_line();
+            continue;
+        }
+        // A fourth field or a missing second one is a bad line before
+        // any field is a bad number.
+        let mut nums = [0u64; 3];
         let mut arity = 0;
-        for field in line.split_whitespace() {
+        let mut numbers = true;
+        loop {
             if arity == 3 {
                 return Err(ParseGraphError::BadLine(line_no));
             }
-            fields[arity] = field;
+            match s.number() {
+                Some(x) => nums[arity] = x,
+                None => numbers = false,
+            }
             arity += 1;
+            if !s.next_field() {
+                break;
+            }
         }
         if arity < 2 {
             return Err(ParseGraphError::BadLine(line_no));
         }
-        let mut nums = [0u64; 3];
-        for (num, field) in nums.iter_mut().zip(&fields[..arity]) {
-            *num = field.parse().map_err(|e| (line_no, e))?;
+        if !numbers {
+            return Err(ParseGraphError::BadNumber(line_no));
         }
         rows.push((line_no, nums, arity));
     }
@@ -361,6 +500,53 @@ mod tests {
         let dtext = to_directed_edge_list(&gen::random_digraph_connected(10, 0.2, &mut rng));
         let dg = parse_directed_edge_list(&dtext).unwrap();
         assert_eq!(to_directed_edge_list(&dg), dtext);
+    }
+
+    #[test]
+    fn decimal_writer_matches_format() {
+        let mut values = vec![0, 9, 10, u64::MAX, u64::MAX - 1];
+        let mut power = 1u64;
+        while let Some(next) = power.checked_mul(10) {
+            values.extend([power - 1, power, next - 1]);
+            power = next;
+        }
+        values.push(power);
+        for x in values {
+            let mut out = String::from("x");
+            write_decimal(&mut out, x);
+            assert_eq!(out, format!("x{x}"));
+        }
+    }
+
+    #[test]
+    fn scanner_reads_what_from_str_and_split_whitespace_read() {
+        // Signs and leading zeros as `u64::from_str` takes them, every
+        // `char::is_whitespace` as a separator, `\r\n` line ends.
+        let text = "#\u{a0}n +004\r\n+0 001\u{85}\r\n\u{b}1\u{2003}2\u{c}\n\u{3000}\n";
+        let c = parse_canonical_edge_list(text, false).unwrap();
+        assert_eq!(c.keys.num_vertices(), 4);
+        assert_eq!(c.keys.keys(), &[(0, 1), (1, 2)]);
+        for (text, err) in [
+            ("# n 4\n0 \u{661}\n", ParseGraphError::BadNumber(2)),
+            ("# n 4\n0 ++1\n", ParseGraphError::BadNumber(2)),
+            ("# n 4\n0 +\n", ParseGraphError::BadNumber(2)),
+            ("# n 4\n0 -0\n", ParseGraphError::BadNumber(2)),
+            ("# n 4\r\n\r\n0 x 1 2\n", ParseGraphError::BadLine(3)),
+            ("# n 4\nx\n", ParseGraphError::BadLine(2)),
+            ("# n +\n", ParseGraphError::BadNumber(1)),
+            (
+                "# n 4\n0 18446744073709551616\n",
+                ParseGraphError::BadNumber(2),
+            ),
+        ] {
+            assert_eq!(parse_canonical_edge_list(text, false), Err(err), "{text:?}");
+        }
+        // A comment that is not exactly `n <count>` is no header.
+        assert_eq!(
+            parse_canonical_edge_list("# n x y\n# n 2\n0 1\n", false)
+                .map(|c| c.keys.num_vertices()),
+            Ok(2)
+        );
     }
 
     #[test]

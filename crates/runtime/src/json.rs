@@ -381,33 +381,37 @@ impl<'a> Reader<'a> {
     pub fn read_u64(&mut self) -> Result<Option<u64>, JsonError> {
         self.p.skip_ws();
         let start = self.p.pos;
-        // Fast path: plain digits without a leading zero, ending
-        // where a number ends; anything else takes the general parse.
-        let mut x: u64 = 0;
-        let mut digits = 0;
-        while let Some(d) = self.p.peek().filter(u8::is_ascii_digit) {
-            match x
-                .checked_mul(10)
-                .and_then(|x| x.checked_add(u64::from(d - b'0')))
-            {
-                Some(next) => x = next,
-                None => break,
+        // Fast path: a plain integer ending where a number ends;
+        // anything else takes the general parse.
+        if self.depth <= MAX_DEPTH {
+            if let Some(x) = self.p.plain_u64() {
+                if !matches!(self.p.peek(), Some(b'.' | b'e' | b'E' | b'-' | b'+')) {
+                    return Ok(Some(x));
+                }
             }
-            self.p.pos += 1;
-            digits += 1;
-        }
-        let plain = digits > 0
-            && self.depth <= MAX_DEPTH
-            && !(digits > 1 && self.p.bytes[start] == b'0')
-            && !matches!(
-                self.p.peek(),
-                Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'-' | b'+')
-            );
-        if plain {
-            return Ok(Some(x));
         }
         self.p.pos = start;
         Ok(self.value()?.as_u64())
+    }
+
+    /// Reads the next value in one byte loop if it is an array of
+    /// arrays of plain non-negative integers (digits without a leading
+    /// zero, fraction, exponent or sign, within `u64`): each row's
+    /// numbers are appended to `fields` and the row's end, the length
+    /// of `fields` after it, to `ends`. Returns `false` and consumes
+    /// nothing, appending nothing, for any other value, well-formed or
+    /// not, so the caller can walk it element by element and report
+    /// the same errors it would have reported without this call.
+    pub fn read_u64_rows(&mut self, fields: &mut Vec<u64>, ends: &mut Vec<usize>) -> bool {
+        let (start, fields_len, ends_len) = (self.p.pos, fields.len(), ends.len());
+        // The numbers sit two containers deeper than the value.
+        if self.depth + 2 <= MAX_DEPTH && self.p.u64_rows(fields, ends) {
+            return true;
+        }
+        self.p.pos = start;
+        fields.truncate(fields_len);
+        ends.truncate(ends_len);
+        false
     }
 
     /// Checks that nothing but whitespace follows the document.
@@ -445,6 +449,68 @@ impl Parser<'_> {
 
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
+    }
+
+    /// Skips whitespace, then moves past the next byte and returns it.
+    fn next_token_byte(&mut self) -> Option<u8> {
+        self.skip_ws();
+        let b = self.peek()?;
+        self.pos += 1;
+        Some(b)
+    }
+
+    /// The plain integer at the cursor: ASCII digits without a leading
+    /// zero, within `u64`. `None` for anything else; a digit never
+    /// follows a `Some`.
+    fn plain_u64(&mut self) -> Option<u64> {
+        let start = self.pos;
+        let mut x: u64 = 0;
+        while let Some(d) = self.peek().filter(u8::is_ascii_digit) {
+            x = x.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
+            self.pos += 1;
+        }
+        let digits = self.pos - start;
+        (digits == 1 || (digits > 1 && self.bytes[start] != b'0')).then_some(x)
+    }
+
+    /// The byte loop of [`Reader::read_u64_rows`]: `false` as soon as
+    /// the value is not an array of arrays of plain integers.
+    fn u64_rows(&mut self, fields: &mut Vec<u64>, ends: &mut Vec<usize>) -> bool {
+        if self.next_token_byte() != Some(b'[') {
+            return false;
+        }
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return true;
+        }
+        loop {
+            if self.next_token_byte() != Some(b'[') {
+                return false;
+            }
+            self.skip_ws();
+            if self.peek() == Some(b']') {
+                self.pos += 1;
+            } else {
+                loop {
+                    let Some(x) = self.plain_u64() else {
+                        return false;
+                    };
+                    fields.push(x);
+                    match self.next_token_byte() {
+                        Some(b',') => self.skip_ws(),
+                        Some(b']') => break,
+                        _ => return false,
+                    }
+                }
+            }
+            ends.push(fields.len());
+            match self.next_token_byte() {
+                Some(b',') => {}
+                Some(b']') => return true,
+                _ => return false,
+            }
+        }
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -952,6 +1018,133 @@ mod tests {
                 (Err(_), Err(_)) => {}
                 (a, b) => panic!("{doc:?}: parse gave {a:?}, the reader {b:?}"),
             }
+        }
+    }
+
+    /// The element walk [`Reader::read_u64_rows`] stands in for: the
+    /// rows when every element is an array of `read_u64` numbers.
+    type Rows = (Vec<u64>, Vec<usize>);
+    fn walk_rows(r: &mut Reader<'_>) -> Result<Option<Rows>, JsonError> {
+        if !r.start_array()? {
+            return Ok(None);
+        }
+        let (mut fields, mut ends) = (Vec::new(), Vec::new());
+        while r.next_element()? {
+            if !r.start_array()? {
+                return Ok(None);
+            }
+            while r.next_element()? {
+                match r.read_u64()? {
+                    Some(x) => fields.push(x),
+                    None => return Ok(None),
+                }
+            }
+            ends.push(fields.len());
+        }
+        Ok(Some((fields, ends)))
+    }
+
+    /// Checks `read_u64_rows` on `doc` after entering `depth` arrays:
+    /// what it takes, the element walk reads alike and leaves the
+    /// reader at the same place; what it declines, it leaves untouched.
+    /// Returns whether it took the value.
+    fn check_u64_rows(doc: &str, depth: usize) -> bool {
+        let mut fast = Reader::new(doc);
+        let mut slow = Reader::new(doc);
+        for _ in 0..depth {
+            assert_eq!(fast.start_array(), Ok(true));
+            assert_eq!(slow.start_array(), Ok(true));
+        }
+        let (mut fields, mut ends) = (vec![9], vec![1]);
+        if fast.read_u64_rows(&mut fields, &mut ends) {
+            let shifted = ends[1..].iter().map(|e| e - 1).collect();
+            let rows = Some((fields[1..].to_vec(), shifted));
+            assert_eq!(walk_rows(&mut slow), Ok(rows), "{doc:?}");
+            assert_eq!(fast.p.pos, slow.p.pos, "{doc:?}");
+            true
+        } else {
+            assert_eq!((fields, ends), (vec![9], vec![1]), "{doc:?}");
+            assert_eq!(fast.value(), slow.value(), "{doc:?}");
+            false
+        }
+    }
+
+    #[test]
+    fn u64_rows_take_plain_rows_and_leave_the_rest_untouched() {
+        for doc in [
+            "[]",
+            " [ ] ",
+            "[[]]",
+            "[[0,1],[2,3,4]]",
+            "[ [ 0 , 1 ] ,[1,2 ]\n, [\t2, 3]\r]",
+            "[[18446744073709551615, 0]]",
+        ] {
+            assert!(check_u64_rows(doc, 0), "declined {doc:?}");
+        }
+        for doc in [
+            "",
+            "5",
+            "{}",
+            "[5]",
+            "[[-0]]",
+            "[[01]]",
+            "[[1.0]]",
+            "[[1e2]]",
+            "[[18446744073709551616]]",
+            "[[[0]]]",
+            "[[\"0\"]]",
+            "[[null]]",
+            "[[0,]]",
+            "[[0],]",
+            "[[0 1]]",
+            "[[0]",
+            "[[0],[1]",
+            "[,[0]]",
+        ] {
+            assert!(!check_u64_rows(doc, 0), "took {doc:?}");
+        }
+        // The numbers may sit at MAX_DEPTH, no deeper.
+        for depth in [MAX_DEPTH - 3, MAX_DEPTH - 2, MAX_DEPTH - 1, MAX_DEPTH] {
+            let doc = format!("{}[[1]]{}", "[".repeat(depth), "]".repeat(depth));
+            assert_eq!(check_u64_rows(&doc, depth), depth + 2 <= MAX_DEPTH);
+        }
+        // Random token soup.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let tokens = [
+            "[",
+            "[",
+            "[",
+            "]",
+            "]",
+            "]",
+            ",",
+            ",",
+            " ",
+            "\n",
+            "0",
+            "7",
+            "42",
+            "01",
+            "-0",
+            "1.5",
+            "18446744073709551615",
+            "18446744073709551616",
+            "null",
+            "\"x\"",
+            "{}",
+        ];
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..5000 {
+            let len = rng.gen_range(0..14);
+            let mut doc = String::from("[");
+            for _ in 0..len {
+                doc.push_str(tokens[rng.gen_range(0..tokens.len())]);
+            }
+            if rng.gen_bool(0.5) {
+                doc.push(']');
+            }
+            check_u64_rows(&doc, 0);
         }
     }
 

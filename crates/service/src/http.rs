@@ -978,22 +978,11 @@ fn read_graph(r: &mut Reader<'_>, f: &mut BodyFields) -> Result<(), JobError> {
             "n" => first_value(r, &mut f.n)?,
             "edges" if !f.edges => {
                 f.edges = true;
-                if !r.start_array().map_err(bad_json)? {
-                    return Err(proto("missing `graph.edges` (array of arrays)"));
-                }
-                let mut i = 0;
-                while r.next_element().map_err(bad_json)? {
-                    if !r.start_array().map_err(bad_json)? {
-                        return Err(proto(format!("edge {i} must be an array")));
-                    }
-                    while r.next_element().map_err(bad_json)? {
-                        let x = r.read_u64().map_err(bad_json)?.ok_or_else(|| {
-                            proto(format!("edge {i}: fields must be non-negative integers"))
-                        })?;
-                        f.row_fields.push(x);
-                    }
-                    f.row_ends.push(f.row_fields.len());
-                    i += 1;
+                // Rows of plain integers take one byte loop; anything
+                // else is walked element by element below, so every
+                // error keeps its text and offset.
+                if !r.read_u64_rows(&mut f.row_fields, &mut f.row_ends) {
+                    read_rows(r, f)?;
                 }
             }
             "edges" => {
@@ -1001,6 +990,30 @@ fn read_graph(r: &mut Reader<'_>, f: &mut BodyFields) -> Result<(), JobError> {
             }
             other => return Err(proto(format!("unknown key `graph.{other}`"))),
         }
+    }
+    Ok(())
+}
+
+/// Reads the `edges` rows one element at a time into the flat row
+/// buffer.
+fn read_rows(r: &mut Reader<'_>, f: &mut BodyFields) -> Result<(), JobError> {
+    if !r.start_array().map_err(bad_json)? {
+        return Err(proto("missing `graph.edges` (array of arrays)"));
+    }
+    let mut i = 0;
+    while r.next_element().map_err(bad_json)? {
+        if !r.start_array().map_err(bad_json)? {
+            return Err(proto(format!("edge {i} must be an array")));
+        }
+        while r.next_element().map_err(bad_json)? {
+            let x = r
+                .read_u64()
+                .map_err(bad_json)?
+                .ok_or_else(|| proto(format!("edge {i}: fields must be non-negative integers")))?;
+            f.row_fields.push(x);
+        }
+        f.row_ends.push(f.row_fields.len());
+        i += 1;
     }
     Ok(())
 }
@@ -1199,11 +1212,11 @@ pub fn encode_job_response(resp: &JobResponse) -> String {
         resp.star_fallbacks,
         resp.spanner.len(),
     );
-    for (i, e) in resp.spanner.iter().enumerate() {
+    for (i, &e) in resp.spanner.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{e}");
+        gio::write_decimal(&mut out, e as u64);
     }
     out.push_str("]}");
     out

@@ -335,12 +335,16 @@ impl JobResponse {
         run: &Arc<SpannerRun>,
         from_canonical: &[EdgeId],
     ) -> Self {
-        let mut spanner: Vec<EdgeId> = run.spanner.iter().map(|e| from_canonical[e]).collect();
-        spanner.sort_unstable();
+        // The translated ids, read back in order from a set over the
+        // submitted ids instead of sorted.
+        let spanner = EdgeSet::from_iter(
+            from_canonical.len(),
+            run.spanner.iter().map(|e| from_canonical[e]),
+        );
         JobResponse {
             key,
             kind,
-            spanner,
+            spanner: spanner.iter().collect(),
             iterations: run.iterations,
             local_rounds: run.local_rounds(),
             converged: run.converged,

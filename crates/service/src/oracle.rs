@@ -611,7 +611,11 @@ fn random_submission(rng: &mut StdRng) -> Submission {
             _ => false,
         };
         if weighted {
-            row.push(rng.gen_range(0..20));
+            row.push(if rng.gen_bool(0.1) {
+                u64::MAX
+            } else {
+                rng.gen_range(0..20)
+            });
         }
     }
     let (clients, servers) = if kind == VariantKind::ClientServer {
@@ -684,6 +688,47 @@ fn ws(rng: &mut StdRng) -> &'static str {
     ["", "", " ", "\n", "\t ", "  "][rng.gen_range(0..6usize)]
 }
 
+/// A field separator of the wire edge list: any `char::is_whitespace`
+/// run, non-ASCII ones included (U+00A0, U+2003, U+0085).
+fn wire_space(rng: &mut StdRng) -> &'static str {
+    [
+        " ", " ", " ", "  ", "\t", "\u{b}", "\u{c}", "\u{a0}", "\u{2003}", "\u{85}", " \t ",
+    ][rng.gen_range(0..11usize)]
+}
+
+/// A wire spelling of a number field: now and then with the `+` sign
+/// or the leading zeros `u64::from_str` accepts.
+fn wire_number(rng: &mut StdRng, field: &str) -> String {
+    if field.is_empty() || !field.bytes().all(|b| b.is_ascii_digit()) {
+        return field.to_string();
+    }
+    match rng.gen_range(0..8) {
+        0 => format!("+{field}"),
+        1 => format!("00{field}"),
+        2 => format!("+0{field}"),
+        _ => field.to_string(),
+    }
+}
+
+/// One wire edge line: the fields spelled and separated at random,
+/// sometimes with leading or trailing whitespace.
+fn wire_line(rng: &mut StdRng, fields: &[String]) -> String {
+    let mut line = String::new();
+    if rng.gen_bool(0.1) {
+        line.push_str(wire_space(rng));
+    }
+    for (i, field) in fields.iter().enumerate() {
+        if i > 0 {
+            line.push_str(wire_space(rng));
+        }
+        line.push_str(&wire_number(rng, field));
+    }
+    if rng.gen_bool(0.1) {
+        line.push_str(wire_space(rng));
+    }
+    line
+}
+
 /// Renders the pairs as an object in random order; a pair whose key
 /// already occurred keeps its place after the first occurrence, so
 /// the first still wins.
@@ -719,12 +764,28 @@ fn json_object(
 }
 
 fn json_array(rng: &mut StdRng, items: &[String]) -> String {
-    let sep = format!(",{}", ws(rng));
-    format!("[{}{}]", ws(rng), items.join(&sep))
+    let sep = format!("{},{}", ws(rng), ws(rng));
+    format!("[{}{}{}]", ws(rng), items.join(&sep), ws(rng))
+}
+
+/// A JSON edge row; a `0` field is now and then spelled `-0`, which
+/// JSON reads as the integer 0.
+fn json_row(rng: &mut StdRng, fields: &[String]) -> String {
+    let fields: Vec<String> = fields
+        .iter()
+        .map(|f| {
+            if f == "0" && rng.gen_bool(0.2) {
+                "-0".to_string()
+            } else {
+                f.clone()
+            }
+        })
+        .collect();
+    json_array(rng, &fields)
 }
 
 fn render_json(sub: &Submission, rng: &mut StdRng) -> String {
-    let rows: Vec<String> = sub.rows.iter().map(|r| json_array(rng, r)).collect();
+    let rows: Vec<String> = sub.rows.iter().map(|r| json_row(rng, r)).collect();
     let edges = json_array(rng, &rows);
     let mut graph_repeats = Vec::new();
     if rng.gen_bool(0.1) {
@@ -783,10 +844,10 @@ fn render_wire(sub: &Submission, rng: &mut StdRng) -> String {
         headers.push(format!("{wire} {value}"));
     }
     headers.shuffle(rng);
-    let mut lines: Vec<String> = sub.rows.iter().map(|r| r.join(" ")).collect();
+    let mut lines: Vec<String> = sub.rows.iter().map(|r| wire_line(rng, r)).collect();
     for _ in 0..rng.gen_range(0..3) {
         let at = rng.gen_range(0..=lines.len());
-        let filler: &str = ["", "# a comment", "   "][rng.gen_range(0..3usize)];
+        let filler: &str = ["", "# a comment", "   ", "\u{a0}"][rng.gen_range(0..4usize)];
         lines.insert(at, filler.to_string());
     }
     let at = if rng.gen_bool(0.8) {
@@ -794,8 +855,15 @@ fn render_wire(sub: &Submission, rng: &mut StdRng) -> String {
     } else {
         rng.gen_range(0..=lines.len())
     };
-    lines.insert(at, format!("# n {}", sub.n));
-    format!("{}\ngraph\n{}\n", headers.join("\n"), lines.join("\n"))
+    let gap = if rng.gen_bool(0.2) {
+        ""
+    } else {
+        wire_space(rng)
+    };
+    let header = format!("#{gap}n{}{}", wire_space(rng), wire_number(rng, &sub.n));
+    lines.insert(at, wire_line(rng, &[header]));
+    let eol = if rng.gen_bool(0.3) { "\r\n" } else { "\n" };
+    format!("{}\ngraph\n{}{eol}", headers.join("\n"), lines.join(eol))
 }
 
 // ---------------------------------------------------------------------
@@ -912,12 +980,20 @@ fn mutate(sub: &mut Submission, rng: &mut StdRng) -> Option<String> {
     let bad_number = [
         "-1",
         "1.5",
+        "1.0",
+        "01",
         "\"3\"",
         "null",
         "true",
         "1e2",
         "-0",
         "18446744073709551616",
+        "+",
+        "++1",
+        "1+",
+        "\u{661}",
+        "1\u{661}",
+        "[0, 1]",
     ];
     let pick =
         |rng: &mut StdRng, options: &[&str]| options[rng.gen_range(0..options.len())].to_string();
@@ -1184,5 +1260,62 @@ fn key_builder_agrees_with_the_reference_builders() {
                 }
             }
         }
+    }
+}
+
+/// The spellings the byte scanners treat specially, each decoded alike
+/// by the keyed decoders and the references: signs, leading zeros,
+/// `\r\n`, vertical tab, form feed and non-ASCII whitespace on the
+/// wire; whitespace inside rows, `-0` and `u64::MAX` in JSON. Then the
+/// near misses both reject.
+#[test]
+fn named_spellings_decode_alike() {
+    let wire_ok = [
+        "variant undirected\nseed 1\ngraph\n# n +04\n+0 001\r\n1\u{b}2\u{c}\r\n\u{a0}2\u{a0}3\n3\u{2003}0\u{85}\n",
+        "variant weighted\nseed 1\ngraph\n#n 4\n0 1 18446744073709551615\n1 2 +0\n",
+        "variant directed\nseed 1\ngraph\n#\u{3000}n\u{2028}4\n\u{85}0 1 +7\n",
+    ];
+    for frame in wire_ok {
+        assert!(check_wire(frame).is_some(), "rejected: {frame:?}");
+    }
+    let wire_bad = [
+        "variant undirected\nseed 1\ngraph\n# n 4\n0 \u{661}\n",
+        "variant undirected\nseed 1\ngraph\n# n 4\n0 ++1\n",
+        "variant undirected\nseed 1\ngraph\n# n 4\n0 +\n",
+        "variant undirected\nseed 1\ngraph\n# n 4\n0 1+\n",
+        "variant undirected\nseed 1\ngraph\n# n 4\n0 -0\n",
+        "variant undirected\nseed 1\ngraph\n# n 4\n0 1 2 x\n",
+        "variant undirected\nseed 1\ngraph\n# n \u{661}\n0 1\n",
+        "variant weighted\nseed 1\ngraph\n# n 4\n0 1 18446744073709551616\n",
+    ];
+    for frame in wire_bad {
+        assert!(check_wire(frame).is_none(), "accepted: {frame:?}");
+    }
+    let graph = |variant: &str, edges: &str| {
+        format!(r#"{{"variant":"{variant}","seed":1,"graph":{{"n":4,"edges":{edges}}}}}"#)
+    };
+    let json_ok = [
+        graph("undirected", "[ [ 0 , 1 ] ,[1,2 ]\n, [\t2, 3]]"),
+        graph("undirected", "[[-0, 1], [1, 2]]"),
+        graph("weighted", "[[0, 1, 18446744073709551615], [1, 2, 0]]"),
+        graph("undirected", "[ ]"),
+    ];
+    for body in &json_ok {
+        assert!(check_http(body).is_some(), "rejected: {body}");
+    }
+    let json_bad = [
+        graph("undirected", "[[0, 01]]"),
+        graph("undirected", "[[0, 1.0]]"),
+        graph("weighted", "[[0, 1, 18446744073709551616]]"),
+        graph("undirected", "[[]]"),
+        graph("undirected", "[[0]]"),
+        graph("undirected", "[[0, 1, 2, 3]]"),
+        graph("undirected", "[[[0, 1]]]"),
+        graph("undirected", "[[0, 1],]"),
+        graph("undirected", "[[0, 1,]]"),
+        graph("undirected", "[[0 1]]"),
+    ];
+    for body in &json_bad {
+        assert!(check_http(body).is_none(), "accepted: {body}");
     }
 }

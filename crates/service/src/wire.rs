@@ -286,7 +286,7 @@ fn write_id_line(out: &mut String, name: &str, ids: impl Iterator<Item = EdgeId>
         if i > 0 {
             out.push(' ');
         }
-        let _ = write!(out, "{e}");
+        gio::write_decimal(out, e as u64);
     }
     out.push('\n');
 }
