@@ -462,6 +462,34 @@ mod tests {
     }
 
     #[test]
+    fn from_run_answers_in_submitted_ids_ascending() {
+        // K6 submitted in reverse canonical order, so no edge keeps its
+        // id, and its spanner is a proper subset.
+        let mut pairs: Vec<(usize, usize)> = (0..6)
+            .flat_map(|u| (u + 1..6).map(move |v| (u, v)))
+            .collect();
+        pairs.reverse();
+        let spec = JobSpec::new(
+            VariantInstance::Undirected {
+                graph: Graph::from_edges(6, pairs),
+            },
+            5,
+        );
+        let job = canonicalize_job(&spec).unwrap();
+        let run = dsa_core::dist::run_variant(&job.instance.instance(), &job.config);
+        assert!(run.spanner.len() < job.from_canonical.len());
+        let mut expected: Vec<EdgeId> = run.spanner.iter().map(|c| job.from_canonical[c]).collect();
+        expected.sort_unstable();
+        let resp = JobResponse::from_run(
+            job.key,
+            VariantKind::Undirected,
+            &Arc::new(run),
+            &job.from_canonical,
+        );
+        assert_eq!(resp.spanner, expected);
+    }
+
+    #[test]
     fn invalid_specs_are_rejected() {
         let g = Graph::from_edges(3, [(0, 1), (1, 2)]);
         let bad = JobSpec::new(
