@@ -131,6 +131,33 @@ pub struct EdgeKeys {
 }
 
 impl EdgeKeys {
+    /// Keys that claim to be canonical already, checked rather than
+    /// normalized: `None` unless every key has both endpoints below
+    /// `n` and is no self-loop, undirected keys are min-first, the keys
+    /// strictly ascend, and `weights`, when given, are undirected and
+    /// one per key. This is what [`KeyBuilder`] produces, so decoding
+    /// stored keys through it accepts exactly the canonical forms.
+    pub fn from_canonical(
+        n: usize,
+        directed: bool,
+        keys: Vec<(VertexId, VertexId)>,
+        weights: Option<Vec<u64>>,
+    ) -> Option<EdgeKeys> {
+        let normal = |&(u, v): &(VertexId, VertexId)| {
+            u < n && v < n && if directed { u != v } else { u < v }
+        };
+        let canonical = keys.iter().all(normal) && keys.windows(2).all(|pair| pair[0] < pair[1]);
+        let weights_fit = weights
+            .as_ref()
+            .is_none_or(|w| !directed && w.len() == keys.len());
+        (canonical && weights_fit).then_some(EdgeKeys {
+            n,
+            directed,
+            keys,
+            weights,
+        })
+    }
+
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
         self.n
@@ -720,6 +747,47 @@ mod tests {
                 assert_eq!(check_sorted_by_key(n, &keys), packs, "n = {n}");
             }
         }
+    }
+
+    #[test]
+    fn from_canonical_accepts_the_builders_keys_and_nothing_else() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(10);
+        for directed in [false, true] {
+            for _ in 0..200 {
+                let n = rng.gen_range(1..12);
+                let mut b = KeyBuilder::new(n, directed);
+                for row in 0..rng.gen_range(0..30) {
+                    let (u, v) = (rng.gen_range(0..n as u64), rng.gen_range(0..n as u64));
+                    b.push_row(row, &[u, v, rng.gen()]).unwrap();
+                }
+                let k = b.finish().unwrap().keys;
+                let again =
+                    EdgeKeys::from_canonical(n, directed, k.keys.clone(), k.weights.clone());
+                assert_eq!(again.as_ref(), Some(&k));
+            }
+        }
+        let check = |n, directed, keys: &[(usize, usize)], weights: Option<Vec<u64>>| {
+            EdgeKeys::from_canonical(n, directed, keys.to_vec(), weights).is_some()
+        };
+        assert!(check(
+            4,
+            false,
+            &[(0, 1), (0, 3), (2, 3)],
+            Some(vec![7, 0, u64::MAX])
+        ));
+        assert!(check(4, true, &[(0, 1), (1, 0), (3, 2)], None));
+        assert!(!check(4, false, &[(0, 3), (0, 1)], None), "descending");
+        assert!(!check(4, false, &[(0, 1), (0, 1)], None), "repeated");
+        assert!(!check(4, true, &[(2, 2)], None), "self-loop");
+        assert!(!check(4, false, &[(3, 1)], None), "reversed undirected");
+        assert!(!check(4, false, &[(1, 4)], None), "endpoint out of range");
+        assert!(!check(4, false, &[(0, 1)], Some(vec![])), "weight count");
+        assert!(
+            !check(4, true, &[(0, 1)], Some(vec![1])),
+            "directed weights"
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use std::num::ParseIntError;
 
-use crate::canon::{CanonicalEdges, EdgeKeys, KeyBuilder};
+use crate::canon::{CanonicalEdges, KeyBuilder};
 use crate::{DiGraph, EdgeWeights, Graph, VertexId};
 
 /// Errors from [`parse_edge_list`] / [`parse_directed_edge_list`].
@@ -113,21 +113,6 @@ pub fn to_directed_edge_list(g: &DiGraph) -> String {
         g.edges().map(|(_, u, v)| (u, v, None)),
     );
     out
-}
-
-/// Appends the edge list of canonical keys to `out`: the same bytes
-/// [`to_edge_list`] / [`to_directed_edge_list`] give for the graph
-/// the keys build, without building it.
-pub fn write_keys(out: &mut String, keys: &EdgeKeys) {
-    let weights = keys.weights();
-    write_rows(
-        out,
-        keys.num_vertices(),
-        keys.keys()
-            .iter()
-            .enumerate()
-            .map(|(c, &(u, v))| (u, v, weights.map(|w| w[c]))),
-    );
 }
 
 /// One data line: its number, its fields and how many there are (2
@@ -407,27 +392,6 @@ mod tests {
         assert_eq!(
             build(3, false, &[&[0, 1, 9], &[1, 2]]),
             Err(ParseGraphError::InconsistentWeights)
-        );
-    }
-
-    #[test]
-    fn written_keys_match_the_built_graph_text() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let g = gen::gnp_connected(16, 0.3, &mut rng);
-        let w = gen::random_weights(g.num_edges(), 0, 9, &mut rng);
-        let c = canon::canonicalize(&g);
-        let cw = EdgeWeights::from_fn(g.num_edges(), |e| w.get(c.from_canonical[e]));
-        let keys = parse_canonical_edge_list(&to_edge_list(&g, Some(&w)), false).unwrap();
-        let mut text = String::new();
-        write_keys(&mut text, &keys.keys);
-        assert_eq!(text, to_edge_list(&c.graph, Some(&cw)));
-        let d = gen::random_digraph_connected(10, 0.2, &mut rng);
-        let keys = parse_canonical_edge_list(&to_directed_edge_list(&d), true).unwrap();
-        let mut text = String::new();
-        write_keys(&mut text, &keys.keys);
-        assert_eq!(
-            text,
-            to_directed_edge_list(&canon::canonicalize_digraph(&d).graph)
         );
     }
 

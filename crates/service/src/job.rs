@@ -25,7 +25,7 @@ use std::time::Duration;
 
 use dsa_core::dist::{EngineConfig, SpannerRun, VariantInstance, VariantKind};
 use dsa_graphs::canon::{CanonicalEdges, EdgeKeys, Fnv1a};
-use dsa_graphs::{EdgeId, EdgeSet, EdgeWeights};
+use dsa_graphs::{EdgeId, EdgeSet, EdgeWeights, VertexId};
 
 /// One spanner-computation request.
 #[derive(Clone, Debug)]
@@ -84,6 +84,37 @@ impl CanonicalInstance {
     /// The canonical edge keys.
     pub fn edges(&self) -> &EdgeKeys {
         &self.edges
+    }
+
+    /// The `CLIENT | SERVER` role bits of each canonical edge, for the
+    /// client-server variant (empty for the others).
+    pub fn roles(&self) -> &[u8] {
+        &self.roles
+    }
+
+    /// The instance with these canonical parts, or `None` when they are
+    /// not what canonicalization produces for `kind`: the keys must pass
+    /// [`EdgeKeys::from_canonical`], directed exactly for the directed
+    /// variant; weights come with the weighted variant only, and role
+    /// bits with the client-server variant only, one mask of at most
+    /// `CLIENT | SERVER` per key. Stored identities decode through it.
+    pub fn from_parts(
+        kind: VariantKind,
+        n: usize,
+        keys: Vec<(VertexId, VertexId)>,
+        weights: Option<Vec<u64>>,
+        roles: Vec<u8>,
+    ) -> Option<Self> {
+        let roles_fit = if kind == VariantKind::ClientServer {
+            roles.len() == keys.len() && roles.iter().all(|&r| r <= CLIENT | SERVER)
+        } else {
+            roles.is_empty()
+        };
+        if !roles_fit || weights.is_some() != (kind == VariantKind::Weighted) {
+            return None;
+        }
+        let edges = EdgeKeys::from_canonical(n, kind == VariantKind::Directed, keys, weights)?;
+        Some(CanonicalInstance { kind, edges, roles })
     }
 
     /// Canonical ids of the client edges (`server == false`) or the
@@ -208,11 +239,22 @@ impl CanonicalJob {
     }
 }
 
+/// The variant's code in the job key and in the store's identity
+/// bytes.
+pub(crate) fn kind_code(kind: VariantKind) -> u8 {
+    match kind {
+        VariantKind::Undirected => 1,
+        VariantKind::Directed => 2,
+        VariantKind::Weighted => 3,
+        VariantKind::ClientServer => 4,
+    }
+}
+
 /// The cache key: FNV-1a over the canonical instance (its canonical
 /// graph hash, then for client-server the client and server id lists)
 /// and the result-relevant config. `num_shards` and `cancel` stay out:
 /// execution policy, not result.
-fn job_key(instance: &CanonicalInstance, config: &EngineConfig) -> u64 {
+pub(crate) fn job_key(instance: &CanonicalInstance, config: &EngineConfig) -> u64 {
     let mut hasher = Fnv1a::new();
     hasher.write_bytes(b"dsa-service-job-v1");
     hasher.write_u64(instance.edges.hash());
@@ -224,12 +266,7 @@ fn job_key(instance: &CanonicalInstance, config: &EngineConfig) -> u64 {
             }
         }
     }
-    hasher.write_u64(match instance.kind {
-        VariantKind::Undirected => 1,
-        VariantKind::Directed => 2,
-        VariantKind::Weighted => 3,
-        VariantKind::ClientServer => 4,
-    });
+    hasher.write_u64(u64::from(kind_code(instance.kind)));
     hasher.write_u64(config.seed);
     hasher.write_u64(config.accept_denominator);
     hasher.write_u64(u64::from(config.monotone_stars));

@@ -5,12 +5,15 @@
 //! kept here verbatim: the `BTreeSet` edge-list builders that used to
 //! live in `dsa_graphs::io`, the `Json`-tree walk that used to be
 //! `http::decode_job_spec`, the per-variant rebuild that used to be
-//! `job::canonicalize_job`, and the tree / `String`-per-id response
-//! encoders. Random submissions over all four variants and both codecs
-//! (row order, self-loops, duplicates in both orientations, duplicate
-//! JSON keys, any key order, whitespace) must decode to the same key,
-//! canonical keys, edge-id permutation, config and timeout on both
-//! sides, and malformed ones to the same HTTP status and `code` slug.
+//! `job::canonicalize_job`, the tree / `String`-per-id response
+//! encoders, and the `graph-patch` op parser that joined a frame's op
+//! lines into a new `String` before splitting them again. Random
+//! submissions over all four variants and both codecs (row order,
+//! self-loops, duplicates in both orientations, duplicate JSON keys,
+//! any key order, whitespace) must decode to the same key, canonical
+//! keys, edge-id permutation, config and timeout on both sides, and
+//! malformed ones to the same HTTP status and `code` slug. Random op
+//! blocks must give the same ops, or the same error text.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -26,11 +29,12 @@ use dsa_graphs::io::ParseGraphError;
 use dsa_graphs::{DiGraph, EdgeId, EdgeSet, EdgeWeights, Graph, VertexId};
 use dsa_runtime::json::Json;
 
+use crate::graphs::{DeltaOp, EdgeRole};
 use crate::http::{decode_job, decode_job_spec, encode_job_response, job_error_status_code};
 use crate::job::{validate_config, CanonicalJob, JobError, JobResponse, JobSpec};
 use crate::wire::{
-    self, decode_run_job, encode_run_response, narrow_usize, parse_run_headers,
-    MIN_VERTEX_ALLOWANCE,
+    self, decode_run_job, encode_run_response, narrow_usize, parse_delta_ops, parse_run_headers,
+    Request, MIN_VERTEX_ALLOWANCE,
 };
 
 fn proto(message: impl Into<String>) -> JobError {
@@ -558,6 +562,154 @@ fn ref_encode_run_response(resp: &JobResponse) -> String {
         ids,
     )
 }
+// ---------------------------------------------------------------------
+// Reference graph-patch op parser (formerly in `wire`)
+// ---------------------------------------------------------------------
+
+/// The ops of a `graph-patch v2` body (everything after its command
+/// line) as the frame decoder used to read them: the lines after `id`
+/// and `ops` collected, joined into a new `String`, and parsed again.
+/// The caller supplies valid `id` and `ops` lines.
+fn ref_patch_ops(body: &str) -> Result<Vec<DeltaOp>, JobError> {
+    let rest: Vec<&str> = body.lines().skip(2).collect();
+    ref_parse_delta_ops(&rest.join("\n"))
+}
+
+fn ref_parse_delta_ops(text: &str) -> Result<Vec<DeltaOp>, JobError> {
+    let mut ops = Vec::new();
+    for line in text.lines() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        ops.push(ref_decode_delta_op(line)?);
+    }
+    Ok(ops)
+}
+
+fn ref_decode_delta_op(line: &str) -> Result<DeltaOp, JobError> {
+    let malformed = || {
+        JobError::Protocol(format!(
+            "malformed delta op `{line}` (expected `+ u v [weight|client|server|both]` or `- u v`)"
+        ))
+    };
+    let parse_u64 = |value: &str, what: &str| {
+        value
+            .parse::<u64>()
+            .map_err(|_| JobError::Protocol(format!("invalid {what}: `{value}`")))
+    };
+    let endpoint = |raw: &str| {
+        parse_u64(raw, "delta endpoint").and_then(|x| narrow_usize(x, "delta endpoint"))
+    };
+    let fields: Vec<&str> = line.split_whitespace().collect();
+    match fields.as_slice() {
+        ["+", u, v] => Ok(DeltaOp::Insert {
+            u: endpoint(u)?,
+            v: endpoint(v)?,
+            weight: None,
+            role: None,
+        }),
+        ["+", u, v, extra] => {
+            let (u, v) = (endpoint(u)?, endpoint(v)?);
+            if extra.bytes().all(|b| b.is_ascii_digit()) {
+                Ok(DeltaOp::Insert {
+                    u,
+                    v,
+                    weight: Some(parse_u64(extra, "edge weight")?),
+                    role: None,
+                })
+            } else if let Some(role) = EdgeRole::parse(extra) {
+                Ok(DeltaOp::Insert {
+                    u,
+                    v,
+                    weight: None,
+                    role: Some(role),
+                })
+            } else {
+                Err(malformed())
+            }
+        }
+        ["-", u, v] => Ok(DeltaOp::Delete {
+            u: endpoint(u)?,
+            v: endpoint(v)?,
+        }),
+        _ => Err(malformed()),
+    }
+}
+
+/// One random op-block line: every op shape, blank lines and comments,
+/// and now and then a malformed op, with varied whitespace and no line
+/// ending.
+fn random_op_line(rng: &mut StdRng) -> String {
+    let number = |rng: &mut StdRng| -> String {
+        match rng.gen_range(0..8) {
+            0 => u64::MAX.to_string(),
+            1 => "+7".into(),
+            2 => "007".into(),
+            _ => rng.gen_range(0..50u32).to_string(),
+        }
+    };
+    let op = |rng: &mut StdRng, sign: &str, operands: usize| -> Vec<String> {
+        std::iter::once(sign.to_string())
+            .chain((0..operands).map(|_| number(rng)))
+            .collect()
+    };
+    let mut fields: Vec<String> = match rng.gen_range(0..10) {
+        0 => vec![],
+        1 => vec!["#".into(), "a comment".into()],
+        2 => vec!["#+".into(), "1".into(), "2".into()],
+        3 | 4 => op(rng, "+", 2),
+        5 => op(rng, "+", 3),
+        6 => {
+            let role = ["client", "server", "both"].choose(rng).unwrap();
+            let mut fields = op(rng, "+", 2);
+            fields.push(role.to_string());
+            fields
+        }
+        _ => op(rng, "-", 2),
+    };
+    if rng.gen_bool(0.04) {
+        // A malformed op: a bad operand, arity or sign.
+        fields = match rng.gen_range(0..8) {
+            0 => op(rng, "+", 1),
+            1 => op(rng, "-", 3),
+            2 => op(rng, "+", 4),
+            3 => vec!["+".into(), "1".into(), "2".into(), "Client".into()],
+            4 => vec!["-".into(), "x1".into(), "2".into()],
+            5 => vec![
+                "+".into(),
+                "1".into(),
+                "2".into(),
+                "18446744073709551616".into(),
+            ],
+            6 => {
+                let sign = *["*", "++", "+1", "--"].choose(rng).unwrap();
+                op(rng, sign, 2)
+            }
+            _ => vec![["+", "-"].choose(rng).unwrap().to_string()],
+        };
+    }
+    let space = |rng: &mut StdRng| {
+        *[" ", " ", "  ", "\t", "\u{a0}", "\u{3000}", " \u{b} "]
+            .choose(rng)
+            .unwrap()
+    };
+    let mut line = String::new();
+    if rng.gen_bool(0.2) {
+        line.push_str(space(rng));
+    }
+    for (i, field) in fields.iter().enumerate() {
+        if i > 0 {
+            line.push_str(space(rng));
+        }
+        line.push_str(field);
+    }
+    if rng.gen_bool(0.2) {
+        line.push_str(space(rng));
+    }
+    line
+}
+
 // ---------------------------------------------------------------------
 // Random submissions
 // ---------------------------------------------------------------------
@@ -1131,6 +1283,35 @@ proptest! {
         if replaced.is_none() {
             check_wire(&wire);
         }
+    }
+
+    /// Random op blocks — CRLF and bare `\r` line ends, blank lines,
+    /// `#` comments, every op shape and malformed ops — decode to the
+    /// same ops, or the same error text, as through the join path, in a
+    /// `graph-patch` frame and through the CLI's `parse_delta_ops`.
+    #[test]
+    fn patch_ops_decode_like_the_join_path(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let header_end = if rng.gen_bool(0.5) { "\n" } else { "\r\n" };
+        let mut block = String::new();
+        for _ in 0..rng.gen_range(0..12) {
+            block.push_str(&random_op_line(&mut rng));
+            block.push_str(["\n", "\n", "\r\n", "\r\r\n"].choose(&mut rng).unwrap());
+        }
+        if rng.gen_bool(0.3) {
+            block.push_str(&random_op_line(&mut rng)); // no final line end
+        }
+        let body = format!("id g-1{header_end}ops{header_end}{block}");
+        let framed = match wire::decode_request(format!("graph-patch v2\n{body}").as_bytes()) {
+            Ok(Request::GraphPatch { id, ops }) => {
+                prop_assert_eq!(id.as_str(), "g-1");
+                Ok(ops)
+            }
+            Ok(other) => panic!("decoded {other:?}"),
+            Err(e) => Err(e),
+        };
+        prop_assert_eq!(&framed, &ref_patch_ops(&body));
+        prop_assert_eq!(&parse_delta_ops(&block), &ref_parse_delta_ops(&block));
     }
 
     /// The direct encoders write the bytes of the encoders they

@@ -90,7 +90,7 @@ use crate::job::{
 };
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::pool::Pool;
-use crate::store::{verification_bytes, Store};
+use crate::store::{verification_bytes, Store, RESULT_VERSION};
 
 /// Tunables of a [`Service`].
 #[derive(Clone, Debug)]
@@ -291,7 +291,14 @@ impl Service {
             Some(dir) => {
                 let t_recovery = Instant::now();
                 let mut store = Store::open_with(dir, Arc::clone(&fault))?;
-                if store.dropped() > 0 {
+                if store.started_fresh() {
+                    let dir = dir.display();
+                    obs::warn(
+                        "dsa-service",
+                        "store format or result version changed; starting fresh",
+                        &[("result_version", &RESULT_VERSION), ("dir", &dir)],
+                    );
+                } else if store.dropped() > 0 {
                     let dropped = store.dropped();
                     let dir = dir.display();
                     obs::warn(

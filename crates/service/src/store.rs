@@ -2,29 +2,54 @@
 //!
 //! One store is one directory holding a single append-only record log
 //! (`results.log`). Each record maps a canonical 64-bit job key to the
-//! encoded [`SpannerRun`] result *plus the verification bytes of the
-//! canonical job* — the [`crate::wire::encode_request`] rendering of
-//! the canonical instance and its result-relevant engine config. The
-//! verification bytes are the whole point: the key is an FNV-1a hash,
-//! and the service's collision guard (a hash hit is served only after
-//! the stored identity is checked against the submitted job) must
-//! survive restarts. A disk hit is therefore verified byte-for-byte
-//! against the canonical instance before being served — never trusted
-//! on the hash alone.
+//! encoded [`SpannerRun`] result *plus the identity of the canonical
+//! job*: its canonical instance and result-relevant engine config in
+//! fixed-width integers ([`verification_bytes`]). The identity is the
+//! whole point: the key is an FNV-1a hash, and the service's collision
+//! guard (a hash hit is served only after the stored identity is
+//! checked against the submitted job) must survive restarts. A disk
+//! hit is therefore served only when the stored identity equals the
+//! submitted job's, byte for byte — never on the hash alone — and a
+//! warm start decodes each identity it replays through a validating
+//! decoder and re-derives the job key from it.
 //!
 //! # On-disk format
 //!
 //! ```text
-//! file     := magic record*
-//! magic    := "DSASTOR1"                      (8 bytes)
+//! file     := magic version record*
+//! magic    := "DSASTOR2"                      (8 bytes)
+//! version  := u32 BE RESULT_VERSION
 //! record   := len payload checksum
 //! len      := u32 BE, length of payload
-//! payload  := key spec_len spec run_len run
+//! payload  := key id_len identity run_len run
 //! key      := u64 BE canonical job key
-//! spec_len := u32 BE   spec := verification bytes (wire run request)
-//! run_len  := u32 BE   run  := encoded SpannerRun (see below)
-//! checksum := u64 BE FNV-1a over payload
+//! id_len   := u32 BE   identity := the job's identity (below)
+//! run_len  := u32 BE   run      := encoded SpannerRun (below)
+//! checksum := u64 BE (below)
 //! ```
+//!
+//! The identity is a flat big-endian integer layout:
+//!
+//! ```text
+//! identity := kind seed accept monotone round max_iter n m keys extra
+//! kind     := u8: 1 undirected, 2 directed, 3 weighted, 4 client-server
+//! seed     := u64   accept   := u64 accept denominator, never 0
+//! monotone := u8 0|1   round := u8 0|1 (round densities)
+//! max_iter := u64   n := u64 vertices   m := u64 edges
+//! keys     := m × (u32 u · u32 v) when n ≤ 2^32, else m × (u64 u · u64 v):
+//!             the canonical keys, strictly ascending
+//! extra    := m × u64 weight (weighted) | m × u8 role bits, 1 client and
+//!             2 server (client-server) | nothing (the other variants)
+//! ```
+//!
+//! It carries exactly what the job key hashes, and no byte of
+//! execution policy: shard count, cancel flag, timing collection and
+//! timeout never enter it, so equal cache identities have equal bytes.
+//!
+//! The checksum reads the payload as little-endian 8-byte words, the
+//! last one zero-padded. Each word costs one multiply and one rotate,
+//! the payload length is folded in last, and the state starts from
+//! the magic, so a record of another format does not check.
 //!
 //! The run encoding is a flat big-endian integer layout: iterations,
 //! converged flag, star-fallback count, the spanner's edge-id universe
@@ -32,6 +57,14 @@
 //! to reconstruct a [`SpannerRun`] whose responses are byte-identical
 //! to the cold computation's (a run is only ever appended *complete*;
 //! aborted runs never reach the log, so `cancelled` is always false).
+//!
+//! # Result version
+//!
+//! [`RESULT_VERSION`] names the engine semantics behind the stored
+//! runs. A change that alters any served byte bumps it: the file
+//! header then no longer matches, so a restarted server drops the old
+//! log and recomputes its jobs instead of serving the old engine's
+//! bytes beside the new engine's.
 //!
 //! # Corruption recovery
 //!
@@ -45,11 +78,14 @@
 //!   or a length prefix that is itself garbage — ends the walk and the
 //!   file is **truncated** back to the last well-formed boundary, so
 //!   future appends land on a clean frame;
-//! * a missing or foreign magic header drops the whole file and starts
-//!   it fresh.
+//! * a header with another magic or result version — an older format,
+//!   another engine version, or no store at all — drops the whole file
+//!   unread and starts it fresh ([`Store::started_fresh`]).
 //!
 //! Every dropped record is counted ([`Store::dropped`]); recovery
 //! never fails the open and never serves bytes that fail verification.
+//! A record whose identity does not decode, or does not re-derive its
+//! key, is skipped by the warm start like a corrupt one.
 //! Within one log, the *latest* record for a key wins (a key is
 //! re-appended only after hash collisions), which the index and
 //! [`Store::warm_records`] both respect.
@@ -79,16 +115,31 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use dsa_core::dist::{EngineConfig, IterationStats, SpannerRun};
-use dsa_graphs::canon::Fnv1a;
-use dsa_graphs::EdgeSet;
+use dsa_core::dist::{EngineConfig, IterationStats, SpannerRun, VariantKind};
+use dsa_graphs::{EdgeSet, VertexId};
 use dsa_runtime::{obs, FaultInjector};
 
-use crate::job::CanonicalInstance;
+use crate::job::{job_key, kind_code, CanonicalInstance};
 use crate::wire;
 
-/// File-format magic: identifies a v1 result log.
-const MAGIC: &[u8; 8] = b"DSASTOR1";
+/// File-format magic: identifies a result log with binary identities.
+const MAGIC: &[u8; 8] = b"DSASTOR2";
+
+/// The engine-semantics version of the stored runs, written after the
+/// magic. A change that alters served bytes bumps it (see the module
+/// docs).
+pub(crate) const RESULT_VERSION: u32 = 1;
+
+/// Length of the file header.
+const HEADER_LEN: usize = 12;
+
+/// The file header: the magic, then [`RESULT_VERSION`] as u32 BE.
+fn header() -> [u8; HEADER_LEN] {
+    let mut header = [0; HEADER_LEN];
+    header[..8].copy_from_slice(MAGIC);
+    header[8..].copy_from_slice(&RESULT_VERSION.to_be_bytes());
+    header
+}
 
 /// Name of the record log inside a store directory.
 pub(crate) const LOG_FILE: &str = "results.log";
@@ -97,25 +148,141 @@ pub(crate) const LOG_FILE: &str = "results.log";
 /// directory; holds the owning PID for diagnostics.
 pub(crate) const LOCK_FILE: &str = "lock";
 
-/// Upper bound on one record payload. A record carries the wire
-/// encoding of the job (bounded by [`wire::MAX_FRAME`] for anything
-/// that arrived remotely) plus the encoded run, which is smaller than
+/// Upper bound on one record payload. A record carries the job's
+/// identity, 8 bytes per key and weight, about the size of the edge
+/// list text of anything that arrived remotely (bounded by
+/// [`wire::MAX_FRAME`]), plus the encoded run, which is smaller than
 /// the instance it came from; twice the frame cap leaves margin while
 /// keeping a corrupt length prefix from directing an absurd read.
 const MAX_PAYLOAD: usize = 2 * wire::MAX_FRAME;
 
-/// The canonical identity bytes a record is verified against: the wire
-/// rendering of the canonical instance plus the result-relevant engine
-/// config, with execution policy (shard count, cancel flag) and the
-/// timeout normalized away so equal cache identities map to equal
-/// bytes. Rendered from the canonical keys; no instance is built.
+/// Bytes of the identity before its keys: kind, seed, accept
+/// denominator, the two flags, max iterations, n and m.
+const IDENTITY_FIXED: usize = 1 + 8 + 8 + 1 + 1 + 8 + 8 + 8;
+
+/// Whether keys over `n` vertices take u64 endpoints in an identity;
+/// below, every endpoint fits a u32.
+fn wide_keys(n: u64) -> bool {
+    n > 1 << 32
+}
+
+/// The canonical identity bytes a record is verified against: the
+/// canonical instance and the result-relevant engine config, in the
+/// layout of the module docs, rendered from the canonical keys. Shard
+/// count, cancel flag, timing collection and timeout stay out, so
+/// equal cache identities map to equal bytes.
 pub(crate) fn verification_bytes(instance: &CanonicalInstance, config: &EngineConfig) -> Vec<u8> {
-    wire::encode_canonical_request(instance, config).into_bytes()
+    let edges = instance.edges();
+    let (n, keys) = (edges.num_vertices() as u64, edges.keys());
+    let weights = edges.weights().unwrap_or(&[]);
+    let wide = wide_keys(n);
+    let key_width = if wide { 16 } else { 8 };
+    let mut out = Vec::with_capacity(
+        IDENTITY_FIXED + key_width * keys.len() + 8 * weights.len() + instance.roles().len(),
+    );
+    out.push(kind_code(instance.kind()));
+    out.extend_from_slice(&config.seed.to_be_bytes());
+    out.extend_from_slice(&config.accept_denominator.to_be_bytes());
+    out.push(u8::from(config.monotone_stars));
+    out.push(u8::from(config.round_densities));
+    out.extend_from_slice(&config.max_iterations.to_be_bytes());
+    out.extend_from_slice(&n.to_be_bytes());
+    out.extend_from_slice(&(keys.len() as u64).to_be_bytes());
+    if wide {
+        for &(u, v) in keys {
+            out.extend_from_slice(&(u as u64).to_be_bytes());
+            out.extend_from_slice(&(v as u64).to_be_bytes());
+        }
+    } else {
+        // Both endpoints are below 2^32: one word holds u, then v.
+        for &(u, v) in keys {
+            out.extend_from_slice(&((u as u64) << 32 | v as u64).to_be_bytes());
+        }
+    }
+    for &w in weights {
+        out.extend_from_slice(&w.to_be_bytes());
+    }
+    out.extend_from_slice(instance.roles());
+    out
+}
+
+/// Decodes identity bytes into the canonical instance and engine
+/// config they name, accepting only what [`verification_bytes`]
+/// renders: a known kind, flags of 0 or 1, a positive accept
+/// denominator, exactly `m` keys and their weights or role bits with
+/// no byte after them, and keys, weights and roles that are canonical
+/// for the kind ([`CanonicalInstance::from_parts`]). Nothing is
+/// allocated before the record's length is known to hold `m` edges.
+fn decode_identity(bytes: &[u8]) -> Option<(CanonicalInstance, EngineConfig)> {
+    let mut r = Cursor { buf: bytes };
+    let code = r.u8()?;
+    let kind = VariantKind::ALL
+        .into_iter()
+        .find(|&k| kind_code(k) == code)?;
+    let seed = r.u64()?;
+    let accept_denominator = r.u64()?;
+    if accept_denominator == 0 {
+        return None;
+    }
+    let flag = |b: u8| match b {
+        0 => Some(false),
+        1 => Some(true),
+        _ => None,
+    };
+    let monotone_stars = flag(r.u8()?)?;
+    let round_densities = flag(r.u8()?)?;
+    let max_iterations = r.u64()?;
+    let n = r.u64()?;
+    let m = usize::try_from(r.u64()?).ok()?;
+    let key_width = if wide_keys(n) { 16 } else { 8 };
+    let extra_width = match kind {
+        VariantKind::Weighted => 8,
+        VariantKind::ClientServer => 1,
+        VariantKind::Undirected | VariantKind::Directed => 0,
+    };
+    if m.checked_mul(key_width + extra_width)? != r.buf.len() {
+        return None; // a count the record cannot hold, or trailing bytes
+    }
+    let (key_bytes, extra) = r.buf.split_at(m * key_width);
+    let vertex = |x: u64| usize::try_from(x).ok();
+    // Exactly `m` keys: a warm start keeps these in the LRU.
+    let mut keys: Vec<(VertexId, VertexId)> = Vec::with_capacity(m);
+    for c in key_bytes.chunks_exact(key_width) {
+        let (u, v) = if key_width == 16 {
+            (be_u64(&c[..8]), be_u64(&c[8..]))
+        } else {
+            let word = be_u64(c);
+            (word >> 32, word & 0xffff_ffff)
+        };
+        keys.push((vertex(u)?, vertex(v)?));
+    }
+    let (weights, roles) = match kind {
+        VariantKind::Weighted => (
+            Some(extra.chunks_exact(8).map(be_u64).collect()),
+            Vec::new(),
+        ),
+        VariantKind::ClientServer => (None, extra.to_vec()),
+        VariantKind::Undirected | VariantKind::Directed => (None, Vec::new()),
+    };
+    let instance = CanonicalInstance::from_parts(kind, vertex(n)?, keys, weights, roles)?;
+    let config = EngineConfig {
+        accept_denominator,
+        monotone_stars,
+        round_densities,
+        max_iterations,
+        ..EngineConfig::seeded(seed)
+    };
+    Some((instance, config))
+}
+
+/// An 8-byte big-endian word.
+fn be_u64(bytes: &[u8]) -> u64 {
+    u64::from_be_bytes(bytes.try_into().expect("8 bytes"))
 }
 
 /// One record decoded far enough to warm the in-memory cache.
 pub(crate) struct WarmRecord {
-    /// The canonical job key (verified against the re-decoded spec at
+    /// The canonical job key (re-derived from the decoded identity at
     /// decode time).
     pub key: u64,
     /// The canonical instance the result answers.
@@ -155,6 +322,9 @@ pub(crate) struct Store {
     end: u64,
     /// Corrupt or unreadable records dropped while opening.
     dropped: u64,
+    /// Whether the open found a header of another format or result
+    /// version and dropped the file unread.
+    started_fresh: bool,
 }
 
 /// Whether `pid` names a live process. Probed via procfs; where
@@ -268,13 +438,14 @@ impl Store {
             fault,
             index: HashMap::new(),
             order: Vec::new(),
-            end: MAGIC.len() as u64,
+            end: HEADER_LEN as u64,
             dropped: 0,
+            started_fresh: false,
         };
         let file_len = store.file.metadata()?.len();
 
         if file_len == 0 {
-            store.file.write_all(MAGIC)?;
+            store.file.write_all(&header())?;
             store.file.flush()?;
             return Ok(store);
         }
@@ -282,25 +453,27 @@ impl Store {
         // file): a buffered reader over a cloned handle, with explicit
         // positions so recovery can truncate precisely.
         let mut reader = std::io::BufReader::new(store.file.try_clone()?);
-        let mut magic = [0u8; 8];
-        let magic_ok = file_len >= MAGIC.len() as u64 && {
-            reader.read_exact(&mut magic)?;
-            &magic == MAGIC
+        let mut found = [0u8; HEADER_LEN];
+        let header_ok = file_len >= HEADER_LEN as u64 && {
+            reader.read_exact(&mut found)?;
+            found == header()
         };
-        if !magic_ok {
-            // Foreign or garbage header: nothing in the file can be
-            // trusted. Count it as one dropped record and start fresh.
+        if !header_ok {
+            // Another format, another result version, or garbage:
+            // nothing in the file may be served. Count it as one
+            // dropped record and start fresh.
             drop(reader);
             store.dropped += 1;
+            store.started_fresh = true;
             store.file.set_len(0)?;
             store.file.seek(SeekFrom::Start(0))?;
-            store.file.write_all(MAGIC)?;
+            store.file.write_all(&header())?;
             store.file.flush()?;
             return Ok(store);
         }
 
         // Walk the records, remembering the last well-formed boundary.
-        let mut pos = MAGIC.len() as u64;
+        let mut pos = HEADER_LEN as u64;
         let mut payload = Vec::new();
         loop {
             let remaining = file_len - pos;
@@ -328,7 +501,9 @@ impl Store {
             let stored_sum = u64::from_be_bytes(sum_bytes);
             let offset = pos;
             pos += 4 + payload_len as u64 + 8;
-            if checksum(&payload) != stored_sum || decode_payload(&payload).is_none() {
+            let well_formed = checksum(&payload) == stored_sum
+                && split_payload(&payload).is_some_and(|record| decode_run(record.run).is_some());
+            if !well_formed {
                 // The framing held (the next record starts right
                 // after), only this record's bytes are bad: skip it.
                 store.dropped += 1;
@@ -380,21 +555,29 @@ impl Store {
         self.dropped
     }
 
+    /// Whether the open dropped the whole file unread, because its
+    /// header named another format or result version (or none): then
+    /// [`Store::dropped`] is 1 and every job recomputes.
+    pub fn started_fresh(&self) -> bool {
+        self.started_fresh
+    }
+
     /// Looks up `key`, serving the stored run only when the record's
-    /// verification bytes equal `verification` — the restart-surviving
-    /// form of the service's hash-collision guard. Any mismatch, read
-    /// failure, or decode failure is a miss.
+    /// identity bytes equal `verification` — the restart-surviving
+    /// form of the service's hash-collision guard. The identities are
+    /// compared before the run is decoded. Any mismatch, read failure,
+    /// or decode failure is a miss.
     pub fn get(&mut self, key: u64, verification: &[u8]) -> Option<SpannerRun> {
         if self.fault.fire("store.read.err") {
             return None; // an unreadable record is a miss, never an error
         }
         let entry = *self.index.get(&key)?;
         let payload = self.read_payload(entry)?;
-        let record = decode_payload(&payload)?;
-        if record.spec != verification {
+        let record = split_payload(&payload)?;
+        if record.identity != verification {
             return None;
         }
-        Some(record.run)
+        decode_run(record.run)
     }
 
     /// Appends one completed run. The caller guarantees the run is
@@ -413,20 +596,22 @@ impl Store {
         if let Some(e) = self.fault.io_error("store.append.err") {
             return Err(e); // ENOSPC-shaped: fails before touching disk
         }
-        let mut payload = Vec::with_capacity(verification.len() + 64);
-        payload.extend_from_slice(&key.to_be_bytes());
-        payload.extend_from_slice(&(verification.len() as u32).to_be_bytes()); // dsa-lint: allow(DSA-C001, reason="a wrapping length implies payload > MAX_PAYLOAD, skipped below before disk")
-        payload.extend_from_slice(verification);
         let run_bytes = encode_run(run);
-        payload.extend_from_slice(&(run_bytes.len() as u32).to_be_bytes()); // dsa-lint: allow(DSA-C001, reason="a wrapping length implies payload > MAX_PAYLOAD, skipped below before disk")
-        payload.extend_from_slice(&run_bytes);
-        if payload.len() > MAX_PAYLOAD {
+        let mut frame =
+            Vec::with_capacity(4 + 8 + 4 + verification.len() + 4 + run_bytes.len() + 8);
+        frame.extend_from_slice(&[0; 4]); // the length prefix, set below
+        frame.extend_from_slice(&key.to_be_bytes());
+        frame.extend_from_slice(&(verification.len() as u32).to_be_bytes()); // dsa-lint: allow(DSA-C001, reason="a wrapping length implies payload > MAX_PAYLOAD, skipped below before disk")
+        frame.extend_from_slice(verification);
+        frame.extend_from_slice(&(run_bytes.len() as u32).to_be_bytes()); // dsa-lint: allow(DSA-C001, reason="a wrapping length implies payload > MAX_PAYLOAD, skipped below before disk")
+        frame.extend_from_slice(&run_bytes);
+        let payload_len = frame.len() - 4;
+        if payload_len > MAX_PAYLOAD {
             return Ok(()); // cannot be replayed within the read bound; skip
         }
-        let mut frame = Vec::with_capacity(payload.len() + 12);
-        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes()); // dsa-lint: allow(DSA-C001, reason="payload.len() <= MAX_PAYLOAD, far below u32::MAX, checked above")
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&checksum(&payload).to_be_bytes());
+        frame[..4].copy_from_slice(&(payload_len as u32).to_be_bytes()); // dsa-lint: allow(DSA-C001, reason="payload_len <= MAX_PAYLOAD, far below u32::MAX, checked above")
+        let sum = checksum(&frame[4..]);
+        frame.extend_from_slice(&sum.to_be_bytes());
         if self.fault.fire("store.append.short") {
             // Crash-shaped: half the frame reaches disk and stays
             // there (no truncation — the next open's recovery walk has
@@ -457,7 +642,7 @@ impl Store {
                     key,
                     IndexEntry {
                         offset: self.end,
-                        payload_len: payload.len() as u32, // dsa-lint: allow(DSA-C001, reason="payload.len() <= MAX_PAYLOAD, far below u32::MAX, checked above")
+                        payload_len: payload_len as u32, // dsa-lint: allow(DSA-C001, reason="payload_len <= MAX_PAYLOAD, far below u32::MAX, checked above")
                     },
                 );
                 self.end += frame.len() as u64;
@@ -476,8 +661,10 @@ impl Store {
 
     /// Decodes the most recent `limit` records into warm-cache entries
     /// (oldest first, so inserting them in order leaves the newest
-    /// ones freshest in an LRU). Records whose spec no longer
-    /// canonicalizes to their stored key are skipped, never served.
+    /// ones freshest in an LRU). Each identity goes through the
+    /// validating decoder and must re-derive its stored key; a record
+    /// that fails either is skipped, exactly like a corrupt one, never
+    /// served.
     pub fn warm_records(&mut self, limit: usize) -> Vec<WarmRecord> {
         let skip = self.order.len().saturating_sub(limit);
         let keys: Vec<u64> = self.order[skip..].to_vec();
@@ -486,29 +673,12 @@ impl Store {
             let Some(entry) = self.index.get(&key).copied() else {
                 continue;
             };
-            let Some(payload) = self.read_payload(entry) else {
-                continue;
-            };
-            let Some(record) = decode_payload(&payload) else {
-                continue;
-            };
-            // Re-decode the stored spec instead of trusting it, through
-            // the same decoder `run` frames take: this re-runs
-            // validation and proves key and identity still agree (a
-            // record that fails is skipped, exactly like a corrupt
-            // one).
-            let Ok(wire::Frame::Run(job)) = wire::decode_frame(&record.spec) else {
-                continue;
-            };
-            if job.key != key {
-                continue;
+            if let Some(record) = self
+                .read_payload(entry)
+                .and_then(|payload| decode_warm(key, &payload))
+            {
+                out.push(record);
             }
-            out.push(WarmRecord {
-                key,
-                instance: job.instance,
-                config: job.config,
-                run: Arc::new(record.run),
-            });
         }
         out
     }
@@ -536,33 +706,65 @@ impl Drop for Store {
     }
 }
 
+/// The record checksum (see the module docs). The rotate matters: a
+/// multiply by an odd constant carries a flip of bit 63 through
+/// unchanged, so without it two flips of bit 63 in different words
+/// would cancel.
 fn checksum(payload: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_bytes(b"dsa-store-record-v1");
-    h.write_bytes(payload);
-    h.finish()
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mix = |h: u64, word: u64| (h ^ word).wrapping_mul(K).rotate_left(29);
+    let mut words = payload.chunks_exact(8);
+    let mut h = u64::from_le_bytes(*MAGIC);
+    for word in &mut words {
+        h = mix(h, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut padded = [0u8; 8];
+        padded[..tail.len()].copy_from_slice(tail);
+        h = mix(h, u64::from_le_bytes(padded));
+    }
+    mix(h, payload.len() as u64)
 }
 
-/// A payload split into its parts (spec bytes still encoded, run
-/// decoded).
-struct Record {
-    spec: Vec<u8>,
-    run: SpannerRun,
+/// A payload split into its parts, still encoded.
+struct Record<'a> {
+    identity: &'a [u8],
+    run: &'a [u8],
 }
 
-/// Decodes a checksum-verified payload; `None` means the internal
-/// structure is inconsistent (the record is treated as corrupt).
-fn decode_payload(payload: &[u8]) -> Option<Record> {
+/// Splits a checksum-verified payload; `None` means the framing inside
+/// it is inconsistent (the record is treated as corrupt).
+fn split_payload(payload: &[u8]) -> Option<Record<'_>> {
     let mut r = Cursor { buf: payload };
     let _key = r.u64()?;
-    let spec_len = r.u32()? as usize; // u32 -> usize: widening on every supported target
-    let spec = r.bytes(spec_len)?.to_vec();
+    let id_len = r.u32()? as usize; // u32 -> usize: widening on every supported target
+    let identity = r.bytes(id_len)?;
     let run_len = r.u32()? as usize; // u32 -> usize: widening on every supported target
     if r.buf.len() != run_len {
         return None; // trailing junk (or shortfall) inside the frame
     }
-    let run = decode_run(r.buf)?;
-    Some(Record { spec, run })
+    Some(Record {
+        identity,
+        run: r.buf,
+    })
+}
+
+/// A warm-cache entry from the payload of `key`'s record, or `None`
+/// when its identity does not decode, does not re-derive `key`, or its
+/// run does not decode.
+fn decode_warm(key: u64, payload: &[u8]) -> Option<WarmRecord> {
+    let record = split_payload(payload)?;
+    let (instance, config) = decode_identity(record.identity)?;
+    if job_key(&instance, &config) != key {
+        return None;
+    }
+    Some(WarmRecord {
+        key,
+        instance: Arc::new(instance),
+        config,
+        run: Arc::new(decode_run(record.run)?),
+    })
 }
 
 /// Flat big-endian encoding of a completed [`SpannerRun`].
@@ -648,8 +850,8 @@ struct Cursor<'a> {
     buf: &'a [u8],
 }
 
-impl Cursor<'_> {
-    fn bytes(&mut self, n: usize) -> Option<&[u8]> {
+impl<'a> Cursor<'a> {
+    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
         if self.buf.len() < n {
             return None;
         }
@@ -676,9 +878,12 @@ impl Cursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{canonicalize_job, JobSpec};
+    use crate::job::{canonicalize_job, CanonicalJob, JobSpec};
     use dsa_core::dist::{run_variant, VariantInstance};
-    use dsa_graphs::Graph;
+    use dsa_graphs::canon::KeyBuilder;
+    use dsa_graphs::{gen, EdgeWeights, Graph};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn test_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dsa-store-unit-{}-{tag}", std::process::id()));
@@ -962,5 +1167,434 @@ mod tests {
         assert!(store.get(k, &v).is_some());
         assert_eq!(store.warm_records(usize::MAX).len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The result-relevant config fields.
+    fn config_fields(c: &EngineConfig) -> (u64, u64, bool, bool, u64) {
+        (
+            c.seed,
+            c.accept_denominator,
+            c.monotone_stars,
+            c.round_densities,
+            c.max_iterations,
+        )
+    }
+
+    /// A config with every result-relevant field drawn at random.
+    fn random_config(rng: &mut StdRng) -> EngineConfig {
+        EngineConfig {
+            accept_denominator: [1, 8, u64::MAX, rng.gen_range(1..=u64::MAX)]
+                [rng.gen_range(0..4usize)],
+            monotone_stars: rng.gen(),
+            round_densities: rng.gen(),
+            max_iterations: [0, 1_000_000, u64::MAX, rng.gen()][rng.gen_range(0..4usize)],
+            ..EngineConfig::seeded(rng.gen())
+        }
+    }
+
+    /// A weight from the edges of the range as often as from inside it.
+    fn random_weight(rng: &mut StdRng) -> u64 {
+        [0, 1, u64::MAX, rng.gen()][rng.gen_range(0..4usize)]
+    }
+
+    /// A random job of `kind` on `n` vertices, from `rows` random rows
+    /// through the decoders' `KeyBuilder`, so no `n`-sized allocation.
+    fn keyed_job(kind: VariantKind, n: usize, rows: usize, rng: &mut StdRng) -> CanonicalJob {
+        let mut builder = KeyBuilder::new(n, kind == VariantKind::Directed);
+        for row in 1..=rows {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            let (u, v) = if u == v { (u, (v + 1) % n) } else { (u, v) };
+            let w = random_weight(rng);
+            let fields = [u as u64, v as u64, w];
+            let arity = if kind == VariantKind::Weighted { 3 } else { 2 };
+            builder.push_row(row, &fields[..arity]).unwrap();
+        }
+        let edges = builder.finish().unwrap();
+        let m = edges.keys.num_edges();
+        let roles = (kind == VariantKind::ClientServer).then(|| {
+            let mut pick = || EdgeSet::from_iter(m, (0..m).filter(|_| rng.gen_bool(0.5)));
+            (pick(), pick())
+        });
+        let config = random_config(rng);
+        CanonicalJob::new(
+            kind,
+            edges,
+            roles.as_ref().map(|(c, s)| (c, s)),
+            config,
+            None,
+        )
+    }
+
+    /// Random jobs of all four variants: small generated graphs
+    /// through `canonicalize_job` (m = 0 included), and keyed jobs over
+    /// n = 2^32 (the widest narrow keys) and n above `u32::MAX`.
+    fn sample_jobs(rng: &mut StdRng) -> Vec<CanonicalJob> {
+        let mut jobs = Vec::new();
+        for _ in 0..40 {
+            let n = rng.gen_range(1..40);
+            let g = if rng.gen_bool(0.15) {
+                Graph::from_edges(n, [])
+            } else {
+                gen::gnp(n, 0.05 + 0.45 * rng.gen::<f64>(), rng)
+            };
+            let d = gen::random_digraph(n, 0.05 + 0.45 * rng.gen::<f64>(), rng);
+            let weights = EdgeWeights::from_fn(g.num_edges(), |_| random_weight(rng));
+            let (clients, servers) = gen::client_server_split(&g, 0.5, 0.5, rng);
+            let instances = [
+                VariantInstance::Undirected { graph: g.clone() },
+                VariantInstance::Directed { graph: d },
+                VariantInstance::Weighted {
+                    graph: g.clone(),
+                    weights,
+                },
+                VariantInstance::ClientServer {
+                    graph: g,
+                    clients,
+                    servers,
+                },
+            ];
+            for instance in instances {
+                let spec = JobSpec {
+                    instance,
+                    config: random_config(rng),
+                    timeout: None,
+                };
+                jobs.push(canonicalize_job(&spec).unwrap());
+            }
+        }
+        for kind in VariantKind::ALL {
+            for n in [1 << 32, (1 << 32) + 1, usize::MAX] {
+                jobs.push(keyed_job(kind, n, 12, rng));
+            }
+        }
+        jobs
+    }
+
+    #[test]
+    fn identity_roundtrips_all_four_variants() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut roles_seen = [false; 4];
+        let (mut empty, mut wide, mut max_weight) = (0, 0, 0);
+        for job in sample_jobs(&mut rng) {
+            let bytes = verification_bytes(&job.instance, &job.config);
+            let (instance, config) = decode_identity(&bytes).expect("a rendered identity decodes");
+            assert_eq!(instance, *job.instance);
+            assert_eq!(config_fields(&config), config_fields(&job.config));
+            assert_eq!(job_key(&instance, &config), job.key);
+            assert_eq!(verification_bytes(&instance, &config), bytes);
+            let edges = job.instance.edges();
+            let m = edges.num_edges();
+            let key_width = if edges.num_vertices() > 1 << 32 {
+                16
+            } else {
+                8
+            };
+            let extra = bytes.len() - IDENTITY_FIXED - key_width * m;
+            assert_eq!(
+                extra,
+                8 * edges.weights().map_or(0, <[u64]>::len) + job.instance.roles().len()
+            );
+            for &r in job.instance.roles() {
+                roles_seen[usize::from(r)] = true;
+            }
+            empty += usize::from(m == 0);
+            wide += usize::from(key_width == 16);
+            max_weight += usize::from(edges.weights().unwrap_or(&[]).contains(&u64::MAX));
+        }
+        assert_eq!(roles_seen, [true; 4], "all four role-bit values");
+        assert!(
+            empty >= 4 && wide >= 8 && max_weight > 0,
+            "{empty} {wide} {max_weight}"
+        );
+    }
+
+    /// Instances from explicit canonical parts.
+    fn parts(
+        kind: VariantKind,
+        n: usize,
+        keys: &[(usize, usize)],
+        weights: Option<Vec<u64>>,
+        roles: Vec<u8>,
+    ) -> CanonicalInstance {
+        CanonicalInstance::from_parts(kind, n, keys.to_vec(), weights, roles).expect("canonical")
+    }
+
+    #[test]
+    fn identity_bytes_separate_jobs_and_ignore_execution_policy() {
+        use VariantKind::*;
+        let keys = [(0, 1), (0, 2), (1, 3), (2, 3)];
+        let base = EngineConfig::seeded(5);
+        let with = |edit: fn(&mut EngineConfig)| {
+            let mut c = base.clone();
+            edit(&mut c);
+            c
+        };
+        let jobs = [
+            (parts(Undirected, 4, &keys, None, vec![]), base.clone()),
+            (parts(Directed, 4, &keys, None, vec![]), base.clone()),
+            (
+                parts(Weighted, 4, &keys, Some(vec![1, 2, 3, 4]), vec![]),
+                base.clone(),
+            ),
+            (
+                parts(Weighted, 4, &keys, Some(vec![1, 2, 3, 5]), vec![]),
+                base.clone(),
+            ),
+            (
+                parts(ClientServer, 4, &keys, None, vec![0, 0, 0, 0]),
+                base.clone(),
+            ),
+            (
+                parts(ClientServer, 4, &keys, None, vec![0, 1, 2, 3]),
+                base.clone(),
+            ),
+            (
+                parts(ClientServer, 4, &keys, None, vec![0, 1, 2, 2]),
+                base.clone(),
+            ),
+            (parts(Undirected, 5, &keys, None, vec![]), base.clone()),
+            (
+                parts(
+                    Undirected,
+                    4,
+                    &[(0, 1), (0, 2), (1, 2), (2, 3)],
+                    None,
+                    vec![],
+                ),
+                base.clone(),
+            ),
+            (parts(Undirected, 4, &keys[..3], None, vec![]), base.clone()),
+            (parts(Undirected, 4, &[], None, vec![]), base.clone()),
+            (
+                parts(Undirected, 4, &keys, None, vec![]),
+                with(|c| c.seed = 6),
+            ),
+            (
+                parts(Undirected, 4, &keys, None, vec![]),
+                with(|c| c.accept_denominator = 4),
+            ),
+            (
+                parts(Undirected, 4, &keys, None, vec![]),
+                with(|c| c.monotone_stars = false),
+            ),
+            (
+                parts(Undirected, 4, &keys, None, vec![]),
+                with(|c| c.round_densities = false),
+            ),
+            (
+                parts(Undirected, 4, &keys, None, vec![]),
+                with(|c| c.max_iterations = 7),
+            ),
+        ];
+        let rendered: Vec<Vec<u8>> = jobs.iter().map(|(i, c)| verification_bytes(i, c)).collect();
+        for a in 0..rendered.len() {
+            for b in a + 1..rendered.len() {
+                assert_ne!(rendered[a], rendered[b], "jobs {a} and {b} render alike");
+            }
+        }
+        // Execution policy never reaches the bytes.
+        let policy = with(|c| {
+            c.num_shards = 8;
+            c.cancel = Some(Arc::new(std::sync::atomic::AtomicBool::new(true)));
+            c.collect_timings = true;
+        });
+        assert_eq!(verification_bytes(&jobs[0].0, &policy), rendered[0]);
+        let mut timed = JobSpec::new(
+            VariantInstance::Undirected {
+                graph: Graph::from_edges(4, keys),
+            },
+            5,
+        );
+        timed.timeout = Some(std::time::Duration::from_millis(1));
+        let timed = canonicalize_job(&timed).unwrap();
+        assert_eq!(
+            verification_bytes(&timed.instance, &timed.config),
+            rendered[0]
+        );
+    }
+
+    /// Identity bytes from raw fields, unchecked, in the narrow-key
+    /// layout of the module docs.
+    fn raw_identity(
+        kind: u8,
+        flags: [u8; 2],
+        accept: u64,
+        n: u64,
+        keys: &[(u64, u64)],
+        extra: &[u8],
+    ) -> Vec<u8> {
+        let mut out = vec![kind];
+        out.extend_from_slice(&9u64.to_be_bytes());
+        out.extend_from_slice(&accept.to_be_bytes());
+        out.extend_from_slice(&flags);
+        out.extend_from_slice(&1_000_000u64.to_be_bytes());
+        out.extend_from_slice(&n.to_be_bytes());
+        out.extend_from_slice(&(keys.len() as u64).to_be_bytes());
+        for &(u, v) in keys {
+            out.extend_from_slice(&(u as u32).to_be_bytes());
+            out.extend_from_slice(&(v as u32).to_be_bytes());
+        }
+        out.extend_from_slice(extra);
+        out
+    }
+
+    #[test]
+    fn identity_decoder_rejects_what_is_not_canonical() {
+        let keys = [(0, 1), (0, 2), (1, 3)];
+        let ok = |kind: u8, keys: &[(u64, u64)], extra: &[u8]| {
+            raw_identity(kind, [1, 1], 8, 4, keys, extra)
+        };
+        // The controls decode: one identity of each variant.
+        let weights: Vec<u8> = [7u64, 0, u64::MAX]
+            .iter()
+            .flat_map(|w| w.to_be_bytes())
+            .collect();
+        let valid = [
+            ok(1, &keys, &[]),
+            ok(2, &[(1, 0), (2, 1), (3, 0)], &[]),
+            ok(3, &keys, &weights),
+            ok(4, &keys, &[3, 0, 2]),
+        ];
+        for bytes in &valid {
+            let (instance, config) = decode_identity(bytes).expect("control decodes");
+            assert_eq!(&verification_bytes(&instance, &config), bytes);
+        }
+        let rejected = [
+            ("unsorted keys", ok(1, &[(0, 2), (0, 1), (1, 3)], &[])),
+            ("repeated key", ok(1, &[(0, 1), (0, 1), (1, 3)], &[])),
+            ("self-loop", ok(2, &[(0, 1), (2, 2)], &[])),
+            ("reversed undirected key", ok(1, &[(0, 1), (3, 1)], &[])),
+            ("endpoint = n", ok(1, &[(0, 1), (1, 4)], &[])),
+            (
+                "endpoint far out of range",
+                ok(4, &[(0, u64::from(u32::MAX))], &[0]),
+            ),
+            ("role byte above 3", ok(4, &keys, &[3, 4, 0])),
+            ("role bytes on undirected", ok(1, &keys, &[0, 1, 2])),
+            (
+                "weights on directed",
+                ok(2, &[(1, 0), (2, 1), (3, 0)], &weights),
+            ),
+            ("weights on client-server", ok(4, &keys, &weights)),
+            ("no weights on weighted", ok(3, &keys, &[])),
+            ("kind 0", ok(0, &keys, &[])),
+            ("kind 5", ok(5, &keys, &[])),
+            ("kind 255", ok(255, &keys, &[])),
+            ("monotone flag 2", raw_identity(1, [2, 1], 8, 4, &keys, &[])),
+            (
+                "round flag 255",
+                raw_identity(1, [1, 255], 8, 4, &keys, &[]),
+            ),
+            (
+                "accept denominator 0",
+                raw_identity(1, [1, 1], 0, 4, &keys, &[]),
+            ),
+            ("trailing byte", ok(1, &keys, &[0])),
+            ("trailing word", ok(1, &keys, &[0; 8])),
+        ];
+        for (what, bytes) in &rejected {
+            assert!(decode_identity(bytes).is_none(), "accepted: {what}");
+        }
+        // Counts the record cannot hold.
+        for m in [4, u64::MAX / 8 + 1, u64::MAX] {
+            let mut bytes = valid[0].clone();
+            bytes[35..43].copy_from_slice(&m.to_be_bytes());
+            assert!(decode_identity(&bytes).is_none(), "accepted m = {m}");
+        }
+        // Every truncation of every control, and of a wide identity.
+        let mut rng = StdRng::seed_from_u64(3);
+        let wide = keyed_job(VariantKind::Weighted, (1 << 32) + 1, 5, &mut rng);
+        let wide = verification_bytes(&wide.instance, &wide.config);
+        for bytes in valid.iter().chain([&wide]) {
+            for len in 0..bytes.len() {
+                assert!(
+                    decode_identity(&bytes[..len]).is_none(),
+                    "accepted a {len}-byte prefix"
+                );
+            }
+        }
+    }
+
+    /// One record's payload and checksum, as appended to a log.
+    fn sample_record() -> (Vec<u8>, u64) {
+        let dir = test_dir("sample-record");
+        let (key, verification, run) = sample_job(4);
+        let mut store = Store::open(&dir).unwrap();
+        store.append(key, &verification, &run).unwrap();
+        drop(store);
+        let log = std::fs::read(dir.join(LOG_FILE)).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let len = u32::from_be_bytes(log[HEADER_LEN..HEADER_LEN + 4].try_into().unwrap()) as usize;
+        let payload = log[HEADER_LEN + 4..HEADER_LEN + 4 + len].to_vec();
+        let sum = u64::from_be_bytes(log[HEADER_LEN + 4 + len..].try_into().unwrap());
+        (payload, sum)
+    }
+
+    #[test]
+    fn checksum_detects_byte_flips_truncations_and_paired_top_bits() {
+        let (payload, sum) = sample_record();
+        assert_eq!(checksum(&payload), sum);
+        assert!(
+            payload.len() > 64 && payload.len() % 8 != 0,
+            "{}",
+            payload.len()
+        );
+        for i in 0..payload.len() {
+            for mask in [0x01, 0x80, 0xff] {
+                let mut flipped = payload.clone();
+                flipped[i] ^= mask;
+                assert_ne!(checksum(&flipped), sum, "flip {mask:#04x} at byte {i}");
+            }
+        }
+        for len in 0..payload.len() {
+            assert_ne!(checksum(&payload[..len]), sum, "truncated to {len} bytes");
+        }
+        let mut extended = payload.clone();
+        extended.push(0);
+        assert_ne!(checksum(&extended), sum, "a zero byte appended");
+        // Bit 63 of little-endian word w is bit 7 of byte 8w + 7.
+        let words = payload.len() / 8;
+        for a in 0..words {
+            for b in a + 1..words {
+                let mut flipped = payload.clone();
+                flipped[8 * a + 7] ^= 0x80;
+                flipped[8 * b + 7] ^= 0x80;
+                assert_ne!(checksum(&flipped), sum, "bit 63 of words {a} and {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn other_formats_and_result_versions_are_dropped_unread() {
+        let (k, v, r) = sample_job(6);
+        let mut old_version = header();
+        old_version[8..].copy_from_slice(&(RESULT_VERSION + 1).to_be_bytes());
+        for head in [
+            b"DSASTOR1".to_vec(),
+            old_version.to_vec(),
+            b"DSASTOR2".to_vec(),
+        ] {
+            let dir = test_dir("versions");
+            {
+                let mut store = Store::open(&dir).unwrap();
+                store.append(k, &v, &r).unwrap();
+                assert!(!store.started_fresh());
+            }
+            // The same records behind another header.
+            let path = dir.join(LOG_FILE);
+            let log = std::fs::read(&path).unwrap();
+            std::fs::write(&path, [&head[..], &log[HEADER_LEN..]].concat()).unwrap();
+            let mut store = Store::open(&dir).unwrap();
+            assert!(store.started_fresh());
+            assert_eq!((store.records(), store.dropped()), (0, 1));
+            assert!(store.get(k, &v).is_none());
+            drop(store);
+            assert_eq!(std::fs::read(&path).unwrap(), header());
+            let store = Store::open(&dir).unwrap();
+            assert!(!store.started_fresh());
+            assert_eq!((store.records(), store.dropped()), (0, 0));
+            drop(store);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -70,7 +70,7 @@ use crate::graphs::{
     valid_graph_id, DeltaOp, EdgeRole, GraphCreated, GraphMeta, GraphPatched, GraphSpannerResult,
     GraphSpec,
 };
-use crate::job::{CanonicalInstance, CanonicalJob, JobError, JobResponse, JobSpec};
+use crate::job::{CanonicalJob, JobError, JobResponse, JobSpec};
 
 /// Upper bound on a frame payload (64 MiB): a million-edge graph fits
 /// with a wide margin, while a corrupt length prefix cannot trigger an
@@ -318,33 +318,6 @@ fn encode_run_body(spec: &JobSpec) -> String {
     out
 }
 
-/// The `run v1` payload of a canonical instance under `config`, with
-/// no `shards` or `timeout-ms` line: byte-identical to
-/// [`encode_request`] of the spec holding the canonical instance with
-/// one shard and no timeout, rendered from the keys without building
-/// that spec. These are the store's verification bytes.
-pub(crate) fn encode_canonical_request(
-    instance: &CanonicalInstance,
-    config: &EngineConfig,
-) -> String {
-    let edges = instance.edges();
-    let mut out = String::with_capacity(160 + 12 * edges.num_edges());
-    out.push_str("run v1\n");
-    let policy_free = EngineConfig {
-        num_shards: 1,
-        cancel: None,
-        ..config.clone()
-    };
-    write_run_header(&mut out, instance.kind(), &policy_free, None);
-    if instance.kind() == VariantKind::ClientServer {
-        write_id_line(&mut out, "clients", instance.role_ids(false));
-        write_id_line(&mut out, "servers", instance.role_ids(true));
-    }
-    out.push_str("graph\n");
-    gio::write_keys(&mut out, edges);
-    out
-}
-
 /// Narrows a decoded `u64` into `usize`, failing the request (rather
 /// than silently truncating on 32-bit targets) when it does not fit.
 /// Shared by every decode path: the C-series lint (`DSA-C001`) bans
@@ -539,18 +512,23 @@ fn decode_graph_patch_request(body: &str) -> Result<Request, JobError> {
             )))
         }
     }
-    let rest: Vec<&str> = lines.collect();
-    let ops = parse_delta_ops(&rest.join("\n"))?;
+    let ops = parse_delta_lines(lines)?;
     Ok(Request::GraphPatch { id, ops })
 }
 
 /// Parses a block of delta-op lines — `+ u v [weight|client|server|both]`
 /// inserts, `- u v` deletes; blank lines and `#` comments are skipped.
-/// Shared by the `graph-patch` frame decoder and `spanner-cli graph
-/// patch`, so CLI and wire never drift.
+/// The `spanner-cli graph patch` entry point; the `graph-patch` frame
+/// decoder parses its op lines with the same function, so CLI and wire
+/// never drift.
 pub fn parse_delta_ops(text: &str) -> Result<Vec<DeltaOp>, JobError> {
+    parse_delta_lines(text.lines())
+}
+
+/// [`parse_delta_ops`] over lines already split.
+fn parse_delta_lines<'a>(lines: impl Iterator<Item = &'a str>) -> Result<Vec<DeltaOp>, JobError> {
     let mut ops = Vec::new();
-    for line in text.lines() {
+    for line in lines {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -573,15 +551,23 @@ fn decode_delta_op(line: &str) -> Result<DeltaOp, JobError> {
     let endpoint = |raw: &str| {
         parse_u64(raw, "delta endpoint").and_then(|x| narrow_usize(x, "delta endpoint"))
     };
-    let fields: Vec<&str> = line.split_whitespace().collect();
-    match fields.as_slice() {
-        ["+", u, v] => Ok(DeltaOp::Insert {
+    // Up to five fields: a fifth one only makes the line malformed.
+    let mut fields = line.split_whitespace();
+    let fields = (
+        fields.next(),
+        fields.next(),
+        fields.next(),
+        fields.next(),
+        fields.next(),
+    );
+    match fields {
+        (Some("+"), Some(u), Some(v), None, _) => Ok(DeltaOp::Insert {
             u: endpoint(u)?,
             v: endpoint(v)?,
             weight: None,
             role: None,
         }),
-        ["+", u, v, extra] => {
+        (Some("+"), Some(u), Some(v), Some(extra), None) => {
             let (u, v) = (endpoint(u)?, endpoint(v)?);
             if extra.bytes().all(|b| b.is_ascii_digit()) {
                 Ok(DeltaOp::Insert {
@@ -601,7 +587,7 @@ fn decode_delta_op(line: &str) -> Result<DeltaOp, JobError> {
                 Err(malformed())
             }
         }
-        ["-", u, v] => Ok(DeltaOp::Delete {
+        (Some("-"), Some(u), Some(v), None, _) => Ok(DeltaOp::Delete {
             u: endpoint(u)?,
             v: endpoint(v)?,
         }),

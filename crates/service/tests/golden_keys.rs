@@ -11,12 +11,14 @@
 //!   index of every `results.log` record);
 //! * the `POST /v1/jobs` 200 body;
 //! * the TCP `ok run` payload;
-//! * the verification bytes the miss stored in `results.log`, read
-//!   back from the file itself.
+//! * the identity bytes the miss stored in `results.log`, read back
+//!   from the file itself.
 //!
-//! A changed key or verification rendering would pass every
-//! benchmark, yet change the `key` of every response and orphan every
-//! existing store record; these pins make it fail here instead. The
+//! The result version in the file's header is pinned beside them.
+//!
+//! A changed key or identity rendering would pass every benchmark,
+//! yet change the `key` of every response and orphan every existing
+//! store record; these pins make it fail here instead. The
 //! test also checks that the public adapters (`http::decode_job_spec`,
 //! `wire::decode_request`, `Service::run`) give the same bytes as the
 //! servers, and that a restarted service answers from its warm-replayed
@@ -38,9 +40,16 @@ struct Case {
     /// The `run v1` frame with the same rows, headers and config.
     frame: &'static str,
     /// Pinned: job key, HTTP body digest, wire payload digest,
-    /// verification bytes digest.
+    /// stored identity digest.
     pins: (u64, u64, u64, u64),
 }
+
+/// The result version every `results.log` header carries. A change
+/// that moves an HTTP-body or wire-payload pin below changes served
+/// bytes: it must bump the store's `RESULT_VERSION` and this pin with
+/// it, so that a restarted server drops the old engine's results
+/// instead of serving them.
+const RESULT_VERSION: u32 = 1;
 
 const CASES: &[Case] = &[
     Case {
@@ -55,7 +64,7 @@ const CASES: &[Case] = &[
             0x1049_4292_da4f_132a,
             0xf240_d218_239e_671a,
             0x2cfa_07f4_64a1_54e8,
-            0x8d43_0854_f98e_8eab,
+            0x397f_4df7_a853_c41a,
         ),
     },
     Case {
@@ -69,7 +78,7 @@ const CASES: &[Case] = &[
             0x176a_ff13_bc6c_406c,
             0xa66d_35eb_d173_9362,
             0x6aef_e2d4_06d8_a0da,
-            0xbb0f_fe30_0c61_05f3,
+            0xd2b2_a8ce_789a_dc21,
         ),
     },
     Case {
@@ -85,7 +94,7 @@ const CASES: &[Case] = &[
             0x5b3b_ab40_f7f2_3737,
             0x9451_410e_15c5_d942,
             0x09b0_680e_ec39_6370,
-            0xedfd_c6e7_9c99_8545,
+            0x3bb0_4631_e82a_e2ee,
         ),
     },
     Case {
@@ -101,7 +110,7 @@ const CASES: &[Case] = &[
             0xcbd3_ff56_1d32_2f8b,
             0x8c79_2a11_7b94_61b1,
             0x19e3_2a2d_9644_7415,
-            0x94a6_4ee7_20c6_1dbd,
+            0x0be0_bc49_ba6f_2899,
         ),
     },
 ];
@@ -125,25 +134,27 @@ fn persistent(dir: &Path) -> Arc<Service> {
     }))
 }
 
-fn be_u32(bytes: &[u8]) -> usize {
-    u32::from_be_bytes(bytes.try_into().expect("4 bytes")) as usize
+fn be_u32(bytes: &[u8]) -> u32 {
+    u32::from_be_bytes(bytes.try_into().expect("4 bytes"))
 }
 
-/// The verification bytes of the only record in a store directory's
-/// `results.log` (format: `DSASTOR1`, then `len · key · spec_len ·
-/// spec · run_len · run · checksum`).
-fn stored_verification(dir: &Path) -> Vec<u8> {
+/// The header's result version and the identity bytes of the only
+/// record in a store directory's `results.log` (format: `DSASTOR2`, a
+/// u32 BE result version, then `len · key · id_len · identity · run_len
+/// · run · checksum`).
+fn stored_verification(dir: &Path) -> (u32, Vec<u8>) {
     let log = std::fs::read(dir.join("results.log")).expect("read results.log");
-    assert_eq!(&log[..8], b"DSASTOR1");
-    let payload_len = be_u32(&log[8..12]);
-    let payload = &log[12..12 + payload_len];
+    assert_eq!(&log[..8], b"DSASTOR2");
+    let version = be_u32(&log[8..12]);
+    let payload_len = be_u32(&log[12..16]) as usize;
+    let payload = &log[16..16 + payload_len];
     assert_eq!(
         log.len(),
-        12 + payload_len + 8,
+        16 + payload_len + 8,
         "exactly one record in the log"
     );
-    let spec_len = be_u32(&payload[8..12]);
-    payload[12..12 + spec_len].to_vec()
+    let id_len = be_u32(&payload[8..12]) as usize;
+    (version, payload[12..12 + id_len].to_vec())
 }
 
 fn post(server: &HttpServer, body: &str) -> Vec<u8> {
@@ -168,6 +179,7 @@ struct Observed {
     key: u64,
     http_body: Vec<u8>,
     wire_payload: Vec<u8>,
+    result_version: u32,
     verification: Vec<u8>,
 }
 
@@ -200,9 +212,9 @@ fn observe(case: &Case) -> Observed {
         "{}: both surfaces, one key",
         case.variant
     );
-    let verification = stored_verification(&http_dir);
+    let (result_version, verification) = stored_verification(&http_dir);
     assert_eq!(
-        verification,
+        (result_version, verification.clone()),
         stored_verification(&wire_dir),
         "{}: both surfaces store the same identity",
         case.variant
@@ -239,6 +251,7 @@ fn observe(case: &Case) -> Observed {
         key: http_key,
         http_body,
         wire_payload,
+        result_version,
         verification,
     }
 }
@@ -248,6 +261,7 @@ fn noisy_submissions_keep_their_keys_bodies_and_store_bytes() {
     let mut failures = Vec::new();
     for case in CASES {
         let o = observe(case);
+        assert_eq!(o.result_version, RESULT_VERSION, "{}", case.variant);
         let got = (
             o.key,
             digest(&o.http_body),
@@ -257,12 +271,12 @@ fn noisy_submissions_keep_their_keys_bodies_and_store_bytes() {
         if got != case.pins {
             failures.push(format!(
                 "{}: pinned {:#018x?}, got {got:#018x?}\n  body: {}\n  payload: {:?}\n  \
-                 verification: {:?}",
+                 identity: {:02x?}",
                 case.variant,
                 case.pins,
                 String::from_utf8_lossy(&o.http_body),
                 String::from_utf8_lossy(&o.wire_payload),
-                String::from_utf8_lossy(&o.verification),
+                o.verification,
             ));
         }
     }

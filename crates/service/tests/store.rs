@@ -1,8 +1,10 @@
 //! Integration tests for the persistent result store, driven entirely
 //! through the public [`Service`] API: restart byte-identity across
-//! all four variants (property-tested), and corruption recovery —
+//! all four variants (property-tested), corruption recovery —
 //! truncated tails, flipped checksum bytes, and garbage headers must
-//! cost records, never correctness or startup.
+//! cost records, never correctness or startup — and the upgrade path:
+//! a log of an older format or another result version is dropped
+//! unread, and its jobs recompute.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -12,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dsa_core::dist::VariantInstance;
+use dsa_graphs::canon::Fnv1a;
 use dsa_graphs::gen;
 use dsa_service::{wire, JobSpec, Service, ServiceConfig};
 
@@ -253,5 +256,75 @@ fn two_services_over_time_share_work_not_a_process() {
     let m = service.metrics();
     assert_eq!(m.cache_misses, 0);
     assert_eq!(m.store_records, 4);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Opens a service over `dir` after writing `log` as its record log,
+/// and checks that the whole file was dropped as one record and every
+/// job recomputes to its `cold` bytes.
+fn assert_dropped_unread(dir: &Path, log: &[u8], specs: &[JobSpec], cold: &[String]) {
+    std::fs::write(log_path(dir), log).unwrap();
+    let service = Service::new(&persistent_cfg(dir));
+    let m = service.metrics();
+    assert_eq!((m.store_records, m.store_records_dropped), (0, 1));
+    let bodies: Vec<String> = specs
+        .iter()
+        .map(|s| wire::encode_run_response(&service.run(s).expect("serve")))
+        .collect();
+    assert_eq!(bodies, cold, "recomputed bytes");
+    let m = service.metrics();
+    assert_eq!((m.cache_misses, m.disk_hits), (specs.len() as u64, 0));
+    assert_eq!(m.store_records, specs.len() as u64);
+}
+
+#[test]
+fn older_format_and_other_result_version_recompute_their_jobs() {
+    let dir = store_dir("upgrade");
+    let specs = four_variant_specs(5);
+    let (cold, _) = serve_all(&dir, 256, &specs);
+    let current = std::fs::read(log_path(&dir)).unwrap();
+    assert_eq!(&current[..8], b"DSASTOR2");
+    let version = u32::from_be_bytes(current[8..12].try_into().unwrap());
+
+    // A log of the text-identity format: the `DSASTOR1` magic, then one
+    // record per job with its key, its `run v1` text and a run of an
+    // empty spanner, which no reply of these jobs has. Served, it
+    // would change the reply bytes.
+    let mut old = b"DSASTOR1".to_vec();
+    for (spec, body) in specs.iter().zip(&cold) {
+        let key_line = body.lines().find_map(|l| l.strip_prefix("key ")).unwrap();
+        let key = u64::from_str_radix(key_line, 16).unwrap();
+        let text = wire::encode_request(spec);
+        let mut run = Vec::new();
+        run.extend_from_slice(&1u64.to_be_bytes()); // iterations
+        run.push(1); // converged
+        run.extend_from_slice(&0u64.to_be_bytes()); // star fallbacks
+        run.extend_from_slice(&0u64.to_be_bytes()); // universe
+        run.extend_from_slice(&0u64.to_be_bytes()); // spanner ids
+        run.extend_from_slice(&0u64.to_be_bytes()); // iteration stats
+        let mut payload = key.to_be_bytes().to_vec();
+        payload.extend_from_slice(&(text.len() as u32).to_be_bytes());
+        payload.extend_from_slice(text.as_bytes());
+        payload.extend_from_slice(&(run.len() as u32).to_be_bytes());
+        payload.extend_from_slice(&run);
+        let mut sum = Fnv1a::new();
+        sum.write_bytes(b"dsa-store-record-v1");
+        sum.write_bytes(&payload);
+        old.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        old.extend_from_slice(&payload);
+        old.extend_from_slice(&sum.finish().to_be_bytes());
+    }
+    assert_dropped_unread(&dir, &old, &specs, &cold);
+
+    // Today's records under the next result version.
+    let mut next = current.clone();
+    next[8..12].copy_from_slice(&(version + 1).to_be_bytes());
+    assert_dropped_unread(&dir, &next, &specs, &cold);
+
+    // The recompute rewrote the log under the current version.
+    assert_eq!(std::fs::read(log_path(&dir)).unwrap()[..12], current[..12]);
+    let (warm, (misses, _, _)) = serve_all(&dir, 256, &specs);
+    assert_eq!(warm, cold);
+    assert_eq!(misses, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
